@@ -1,160 +1,24 @@
-"""Array kernels with a numba fast path and a pure-numpy fallback.
+"""Array kernels for the closed-form flows and the RK4 oracle.
 
-The backend is resolved once at import from the DIAMONDFLOW_BACKEND
-environment variable ("numba", "numpy", or "auto"/unset) and can be
-switched at runtime with set_backend(); the parity tests and the
-benchmark under benchmarks/ rely on that hook.  All kernels are pure
-functions of their arguments, so the two paths must agree to rounding.
+diamond_orbit, diamond_orbit_grid, wedge_orbit and field_grid evaluate the
+Moebius flow, the boost and the thermal field by numpy broadcasting.
+rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops
+and never consult the closed forms, so they stay an independent check.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit as _njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-# Below this, a flow-map denominator counts as degenerate.  Strictly
-# interior points never get close: the interiority margin keeps the
-# denominator above ~1e-5 for any modular parameter.
-DEGENERATE_DENOM_TOL = 1e-14
-
-
-# ----------------------------------------------------------------------
-# numpy implementations (vectorized)
-
-def _diamond_orbit_np(u_plus, u_minus, size, t):
+def _mobius_orbit(vp, vm, size, t):
+    # vp, vm are u/L, scalars or (m, 1) columns broadcast against t
     s = 0.5 * t
     ch = np.cosh(s)
     sh = np.sinh(s)
-    vp = u_plus / size
-    vm = u_minus / size
-    den_p = vp * sh + ch
-    den_m = vm * sh + ch
-    min_den = min(np.min(np.abs(den_p)), np.min(np.abs(den_m)))
-    out_p = size * (vp * ch + sh) / den_p
-    out_m = size * (vm * ch + sh) / den_m
-    return out_p, out_m, min_den
-
-
-def _diamond_orbit_grid_np(u0_plus, u0_minus, size, t):
-    s = 0.5 * t[None, :]
-    ch = np.cosh(s)
-    sh = np.sinh(s)
-    vp = (u0_plus / size)[:, None]
-    vm = (u0_minus / size)[:, None]
-    den_p = vp * sh + ch
-    den_m = vm * sh + ch
-    min_den = min(np.min(np.abs(den_p)), np.min(np.abs(den_m)))
-    out_p = size * (vp * ch + sh) / den_p
-    out_m = size * (vm * ch + sh) / den_m
-    return out_p, out_m, min_den
-
-
-def _wedge_orbit_np(x0, x1_rel, t):
-    ch = np.cosh(t)
-    sh = np.sinh(t)
-    return x0 * ch + x1_rel * sh, x1_rel * ch + x0 * sh
-
-
-def _field_grid_np(u_plus, u_minus, size):
-    beta_p = (size * size - u_plus * u_plus) / (2.0 * size)
-    beta_m = (size * size - u_minus * u_minus) / (2.0 * size)
-    bnorm = np.sqrt(beta_p * beta_m)
-    temperature = 1.0 / (2.0 * np.pi * bnorm)
-    radius = 0.5 * np.abs(u_plus - u_minus)
-    accel = radius / (size * bnorm)
-    ratio = radius / size
-    return beta_p, beta_m, temperature, accel, ratio
-
-
-# ----------------------------------------------------------------------
-# loop implementations (numba-compiled when the numba backend is active)
-
-def _diamond_orbit_loop(u_plus, u_minus, size, t):
-    n = t.shape[0]
-    out_p = np.empty(n)
-    out_m = np.empty(n)
-    min_den = np.inf
-    vp = u_plus / size
-    vm = u_minus / size
-    for i in range(n):
-        s = 0.5 * t[i]
-        ch = np.cosh(s)
-        sh = np.sinh(s)
-        den_p = vp * sh + ch
-        den_m = vm * sh + ch
-        if abs(den_p) < min_den:
-            min_den = abs(den_p)
-        if abs(den_m) < min_den:
-            min_den = abs(den_m)
-        out_p[i] = size * (vp * ch + sh) / den_p
-        out_m[i] = size * (vm * ch + sh) / den_m
-    return out_p, out_m, min_den
-
-
-def _diamond_orbit_grid_loop(u0_plus, u0_minus, size, t):
-    m = u0_plus.shape[0]
-    n = t.shape[0]
-    out_p = np.empty((m, n))
-    out_m = np.empty((m, n))
-    min_den = np.inf
-    # t outer so cosh/sinh are evaluated once per column, as in the
-    # broadcast version
-    for i in range(n):
-        s = 0.5 * t[i]
-        ch = np.cosh(s)
-        sh = np.sinh(s)
-        for j in range(m):
-            vp = u0_plus[j] / size
-            vm = u0_minus[j] / size
-            den_p = vp * sh + ch
-            den_m = vm * sh + ch
-            if abs(den_p) < min_den:
-                min_den = abs(den_p)
-            if abs(den_m) < min_den:
-                min_den = abs(den_m)
-            out_p[j, i] = size * (vp * ch + sh) / den_p
-            out_m[j, i] = size * (vm * ch + sh) / den_m
-    return out_p, out_m, min_den
-
-
-def _wedge_orbit_loop(x0, x1_rel, t):
-    n = t.shape[0]
-    out0 = np.empty(n)
-    out1 = np.empty(n)
-    for i in range(n):
-        ch = np.cosh(t[i])
-        sh = np.sinh(t[i])
-        out0[i] = x0 * ch + x1_rel * sh
-        out1[i] = x1_rel * ch + x0 * sh
-    return out0, out1
-
-
-def _field_grid_loop(u_plus, u_minus, size):
-    n = u_plus.shape[0]
-    beta_p = np.empty(n)
-    beta_m = np.empty(n)
-    temperature = np.empty(n)
-    accel = np.empty(n)
-    ratio = np.empty(n)
-    for i in range(n):
-        bp = (size * size - u_plus[i] * u_plus[i]) / (2.0 * size)
-        bm = (size * size - u_minus[i] * u_minus[i]) / (2.0 * size)
-        bnorm = np.sqrt(bp * bm)
-        radius = 0.5 * abs(u_plus[i] - u_minus[i])
-        beta_p[i] = bp
-        beta_m[i] = bm
-        temperature[i] = 1.0 / (2.0 * np.pi * bnorm)
-        accel[i] = radius / (size * bnorm)
-        ratio[i] = radius / size
-    return beta_p, beta_m, temperature, accel, ratio
+    out_p = size * (vp * ch + sh) / (vp * sh + ch)
+    out_m = size * (vm * ch + sh) / (vm * sh + ch)
+    return out_p, out_m
 
 
 def _rk4_diamond_loop(u_plus, u_minus, size, t, n_steps):
@@ -229,102 +93,53 @@ def _rk4_wedge_loop(x0, x1_rel, t, n_steps):
     return a, b, 0
 
 
-_NUMPY_IMPLS = {
-    "diamond_orbit": _diamond_orbit_np,
-    "diamond_orbit_grid": _diamond_orbit_grid_np,
-    "wedge_orbit": _wedge_orbit_np,
-    "field_grid": _field_grid_np,
-    "rk4_diamond": _rk4_diamond_loop,
-    "rk4_wedge": _rk4_wedge_loop,
-}
-
-if HAVE_NUMBA:
-    _NUMBA_IMPLS = {
-        "diamond_orbit": _njit(cache=True)(_diamond_orbit_loop),
-        "diamond_orbit_grid": _njit(cache=True)(_diamond_orbit_grid_loop),
-        "wedge_orbit": _njit(cache=True)(_wedge_orbit_loop),
-        "field_grid": _njit(cache=True)(_field_grid_loop),
-        "rk4_diamond": _njit(cache=True)(_rk4_diamond_loop),
-        "rk4_wedge": _njit(cache=True)(_rk4_wedge_loop),
-    }
-else:
-    _NUMBA_IMPLS = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def _resolve_backend(name: str | None) -> str:
-    if name is None or name == "" or name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("backend 'numba' requested but numba is not importable")
-        return "numba"
-    raise ValueError(f"unrecognized backend {name!r}; use 'numba', 'numpy' or 'auto'")
-
-
-_ACTIVE = _resolve_backend(os.environ.get("DIAMONDFLOW_BACKEND"))
-
-
-def active_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend for this process; returns the resolved name."""
-    global _ACTIVE
-    _ACTIVE = _resolve_backend(name)
-    return _ACTIVE
-
-
-def _impl(name: str):
-    table = _NUMBA_IMPLS if _ACTIVE == "numba" else _NUMPY_IMPLS
-    return table[name]
-
-
 def diamond_orbit(u_plus: float, u_minus: float, size: float, t: np.ndarray):
     """Orbit of one centered null pair over the modular parameters t.
 
-    Returns (u_plus(t), u_minus(t), min_abs_denominator)."""
-    return _impl("diamond_orbit")(float(u_plus), float(u_minus), float(size),
-                                  np.ascontiguousarray(t, dtype=np.float64))
+    Returns (u_plus(t), u_minus(t))."""
+    size = float(size)
+    return _mobius_orbit(float(u_plus) / size, float(u_minus) / size, size,
+                         np.asarray(t, dtype=np.float64))
 
 
 def diamond_orbit_grid(u0_plus: np.ndarray, u0_minus: np.ndarray, size: float, t: np.ndarray):
     """Orbits of many centered null pairs over a shared t grid; (m, n) outputs."""
-    return _impl("diamond_orbit_grid")(
-        np.ascontiguousarray(u0_plus, dtype=np.float64),
-        np.ascontiguousarray(u0_minus, dtype=np.float64),
-        float(size),
-        np.ascontiguousarray(t, dtype=np.float64),
-    )
+    size = float(size)
+    vp = (np.asarray(u0_plus, dtype=np.float64) / size)[:, None]
+    vm = (np.asarray(u0_minus, dtype=np.float64) / size)[:, None]
+    return _mobius_orbit(vp, vm, size, np.asarray(t, dtype=np.float64)[None, :])
 
 
 def wedge_orbit(x0: float, x1_rel: float, t: np.ndarray):
     """Boost orbit of (x0, x1 - apex) over the modular parameters t."""
-    return _impl("wedge_orbit")(float(x0), float(x1_rel),
-                                np.ascontiguousarray(t, dtype=np.float64))
+    x0, x1_rel = float(x0), float(x1_rel)
+    t = np.asarray(t, dtype=np.float64)
+    ch = np.cosh(t)
+    sh = np.sinh(t)
+    return x0 * ch + x1_rel * sh, x1_rel * ch + x0 * sh
 
 
 def field_grid(u_plus: np.ndarray, u_minus: np.ndarray, size: float):
     """Thermal field quantities (beta+, beta-, T, a, ratio) for centered pairs."""
-    return _impl("field_grid")(
-        np.ascontiguousarray(u_plus, dtype=np.float64),
-        np.ascontiguousarray(u_minus, dtype=np.float64),
-        float(size),
-    )
+    size = float(size)
+    u_plus = np.asarray(u_plus, dtype=np.float64)
+    u_minus = np.asarray(u_minus, dtype=np.float64)
+    beta_p = (size * size - u_plus * u_plus) / (2.0 * size)
+    beta_m = (size * size - u_minus * u_minus) / (2.0 * size)
+    bnorm = np.sqrt(beta_p * beta_m)
+    temperature = 1.0 / (2.0 * np.pi * bnorm)
+    radius = 0.5 * np.abs(u_plus - u_minus)
+    accel = radius / (size * bnorm)
+    ratio = radius / size
+    return beta_p, beta_m, temperature, accel, ratio
 
 
 def rk4_diamond(u_plus: float, u_minus: float, size: float, t: float, n_steps: int):
     """Fixed-step RK4 along the diamond generator; returns (u+, u-, status)."""
-    return _impl("rk4_diamond")(float(u_plus), float(u_minus), float(size),
-                                float(t), int(n_steps))
+    return _rk4_diamond_loop(float(u_plus), float(u_minus), float(size),
+                             float(t), int(n_steps))
 
 
 def rk4_wedge(x0: float, x1_rel: float, t: float, n_steps: int):
     """Fixed-step RK4 along the wedge boost generator; returns (x0, x1_rel, status)."""
-    return _impl("rk4_wedge")(float(x0), float(x1_rel), float(t), int(n_steps))
+    return _rk4_wedge_loop(float(x0), float(x1_rel), float(t), int(n_steps))

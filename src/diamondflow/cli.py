@@ -1,8 +1,9 @@
 """Command-line surface: orbit tables, temperature grids, limit scans, figures.
 
 Exit codes: 0 success, 2 invalid configuration, 3 start or sample outside
-the region's domain, 4 mode/spec mismatch.  All numeric output is fixed
-at %.12e so identical configurations produce byte-identical files.
+the region's domain, or a result that overflows or is not finite, 4
+mode/spec mismatch.  All numeric output is fixed at %.12e so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import field_grid
-from .errors import DiamondflowError, SpecMismatch
+from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import diamond_flow, wedge_flow
 from .geometry import (
@@ -63,6 +64,8 @@ def _fmt(v: float) -> str:
     v = float(v)
     if v == 0.0:
         v = 0.0
+    elif not math.isfinite(v):
+        raise OutOfRange(f"result {v!r} is not finite")
     return f"{v:.12e}"
 
 
@@ -250,10 +253,10 @@ _TRAJ_COLS = ("t", "z_plus", "z_minus", "x0", "x1", "T", "a")
 def cmd_traj(cfg: RunConfig) -> str:
     t_values = np.linspace(cfg.t_min, cfg.t_max, cfg.n_t)
     zp0, zm0 = cfg.starts[0]
-    rows = []
     if cfg.region == "diamond":
         d = DiamondSpec(cfg.size_L, cfg.translation_L1)
         z0 = NullRadialCoords(zp0, zm0)
+        rows = []
         for t in t_values:
             zt = diamond_flow(z0, float(t), d)
             x = from_null(zt)
@@ -263,12 +266,16 @@ def cmd_traj(cfg: RunConfig) -> str:
     else:
         w = WedgeSpec(cfg.apex)
         x0 = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-        for t in t_values:
-            x = wedge_flow(x0, float(t), w)
-            rel = x.x1 - cfg.apex
-            accel = 1.0 / math.sqrt(rel * rel - x.x0 * x.x0)
-            rows.append((float(t), x.x0 + x.x1, x.x0 - x.x1, x.x0, x.x1,
-                         wedge_temperature(accel), accel))
+        points = [wedge_flow(x0, float(t), w) for t in t_values]
+        # The acceleration is constant along the boost orbit.  Taken at the
+        # start (which wedge_flow has validated) it avoids the cancellation
+        # in (x1 - apex)^2 - x0^2 at large |t|; two square roots keep the
+        # product in range.
+        rel = x0.x1 - cfg.apex
+        accel = 1.0 / (math.sqrt(rel - x0.x0) * math.sqrt(rel + x0.x0))
+        temperature = wedge_temperature(accel)
+        rows = [(float(t), x.x0 + x.x1, x.x0 - x.x1, x.x0, x.x1, temperature, accel)
+                for t, x in zip(t_values, points)]
     return _emit(_TRAJ_COLS, rows, cfg.fmt)
 
 
@@ -389,7 +396,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        text = _DISPATCH[cfg.subcommand](cfg)
+        # numpy overflow and NaN become exceptions, so no kernel result
+        # reaches the output unchecked.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            text = _DISPATCH[cfg.subcommand](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -398,6 +408,9 @@ def main(argv=None) -> int:
         return 4
     except DiamondflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
     _write(text, cfg.out)
     return 0

@@ -21,10 +21,6 @@ class OutOfRange(DiamondflowError):
     """A scalar argument lies outside its admissible interval."""
 
 
-class DegenerateDenominator(DiamondflowError):
-    """A flow-map denominator fell below tolerance; the input sits on the boundary."""
-
-
 class StepOutOfRegion(DiamondflowError):
     """An integrator stage left the closed region; reduce the step size."""
 

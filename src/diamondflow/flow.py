@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateDenominator, OutOfRange, OutOfRegion
+from .errors import OutOfRange, OutOfRegion
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -95,10 +95,7 @@ def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
 
 def _mobius(u: float, size: float, ch: float, sh: float) -> float:
     v = u / size
-    den = v * sh + ch
-    if abs(den) < _kernels.DEGENERATE_DENOM_TOL:
-        raise DegenerateDenominator(f"flow denominator {den!r} below tolerance")
-    return size * (v * ch + sh) / den
+    return size * (v * ch + sh) / (v * sh + ch)
 
 
 def diamond_flow(z: NullRadialCoords, t: float, d: DiamondSpec) -> NullRadialCoords:
@@ -194,9 +191,7 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
         return Trajectory(spec, tuple(float(v) for v in ts), points, start)
     up, um, axis = centered_null_pair(start, spec)
     require_interior_null(up, um, spec)
-    ups, ums, min_den = _kernels.diamond_orbit(up, um, spec.size_L, ts)
-    if min_den < _kernels.DEGENERATE_DENOM_TOL:
-        raise DegenerateDenominator(f"flow denominator {min_den!r} below tolerance")
+    ups, ums = _kernels.diamond_orbit(up, um, spec.size_L, ts)
     points = tuple(
         from_null(null_from_centered(ups[i], ums[i], axis, spec)) for i in range(n)
     )

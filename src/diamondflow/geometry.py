@@ -61,7 +61,7 @@ class SpacetimePoint:
         for name in ("x0", "x1", "x2", "x3"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate {name}={v!r}")
+                raise OutOfRange(f"non-finite coordinate {name}={v!r}")
             object.__setattr__(self, name, v)
 
 
@@ -83,9 +83,9 @@ class NullRadialCoords:
         zp = float(self.z_plus)
         zm = float(self.z_minus)
         if not (math.isfinite(zp) and math.isfinite(zm)):
-            raise ValueError("non-finite null coordinate")
+            raise OutOfRange("non-finite null coordinate")
         if zp < zm:
-            raise ValueError(f"null ordering violated: z_plus={zp} < z_minus={zm}")
+            raise OutOfRange(f"null ordering violated: z_plus={zp} < z_minus={zm}")
         d = tuple(float(c) for c in self.direction)
         if len(d) != 3:
             raise ValueError("direction must have three components")

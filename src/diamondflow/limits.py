@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateDenominator, OutOfRange, SpecMismatch
+from .errors import OutOfRange, SpecMismatch
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -138,9 +138,7 @@ def deviation_scan(mode: str, z0: NullRadialCoords, d: DiamondSpec,
     require_interior_null(up, um, d)
 
     ts = np.linspace(t_min, t_max, n)
-    ups, ums, min_den = _kernels.diamond_orbit(up, um, d.size_L, ts)
-    if min_den < _kernels.DEGENERATE_DENOM_TOL:
-        raise DegenerateDenominator(f"flow denominator {min_den!r} below tolerance")
+    ups, ums = _kernels.diamond_orbit(up, um, d.size_L, ts)
     shift = d.translation_L1
     exact = np.stack([ups + shift, ums - shift], axis=-1)
     if mode == "minkowski":
@@ -190,9 +188,7 @@ def regime_map(mode: str, d: DiamondSpec, t_probe: float, tol: float,
     else:
         u0p, u0m = -r_centered, r_centered
         shift = d.translation_L1
-    ups, ums, min_den = _kernels.diamond_orbit_grid(u0p, u0m, L, ts)
-    if min_den < _kernels.DEGENERATE_DENOM_TOL:
-        raise DegenerateDenominator(f"flow denominator {min_den!r} below tolerance")
+    ups, ums = _kernels.diamond_orbit_grid(u0p, u0m, L, ts)
     exact = np.stack([ups + shift, ums - shift], axis=-1)
     if mode == "minkowski":
         lp = 0.5 * L * ts[None, :] + r_centered[:, None]

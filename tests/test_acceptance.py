@@ -5,7 +5,6 @@ Tolerances are the contract; nothing here is tuned to the implementation.
 """
 
 import math
-import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -212,7 +211,6 @@ def test_11_fig2_coincidence():
 
 def test_12_cli_determinism(tmp_path):
     with _report(12, "cli golden determinism"):
-        env = dict(os.environ, DIAMONDFLOW_BACKEND="numpy")
         configs = [
             ("traj_diamond.csv",
              ["traj", "--region", "diamond", "--t=-2:2:5"]),
@@ -229,6 +227,6 @@ def test_12_cli_determinism(tmp_path):
             res = subprocess.run(
                 [sys.executable, "-m", "diamondflow.cli", *args,
                  "--out", str(out)],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True)
             assert res.returncode == 0, res.stderr
             assert out.read_bytes() == (GOLDEN / fname).read_bytes()

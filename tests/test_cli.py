@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diamondflow.cli import main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
@@ -15,14 +19,10 @@ from diamondflow.thermo import acceleration_at, diamond_temperature
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Golden files were generated against the numpy backend; pin it so the
-# comparison does not depend on which kernels are importable here.
-_ENV = dict(os.environ, DIAMONDFLOW_BACKEND="numpy")
-
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "diamondflow.cli", *args],
-                          capture_output=True, text=True, env=_ENV)
+                          capture_output=True, text=True)
 
 
 def test_golden_traj(tmp_path):
@@ -99,6 +99,82 @@ def test_exit_spec_mismatch(capsys):
     capsys.readouterr()
 
 
+_RANGE_ERRORS = [
+    "traj --t=-1500:1500:5",
+    "traj --region wedge --t=-1000:1000:5",
+    "plot --start 0.5,-0.5 --t=-1500:1500:5",
+    "traj --L 1e-300 --start 1e-301,-1e-301 --t=0:1:3",
+    "plot --shade --grid 2 --L 1e200",
+    "limits --mode minkowski --start 0.5,-0.5 --t 0:1500:3",
+    "limits --mode minkowski --grid 3 --t 0:1500:3",
+    "field --grid 3 --L 1e-300",
+    "field --grid 3 --L 1e200",
+    "traj --L 1e200 --start 1e199,-1e199 --t=0:1:3",
+]
+
+_NONFINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", _RANGE_ERRORS)
+def test_exit_range_error(command, capsys):
+    # overflow, division by zero and NaN results are domain errors
+    assert main(command.split()) == 3
+    captured = capsys.readouterr()
+    assert not _NONFINITE.search(captured.out)
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@st.composite
+def _argv(draw):
+    """Bounded argv over every subcommand: grid <= 8, <= 16 samples,
+    L in [1e-300, 1e300], |t| <= 2000, starts and offsets scaled by L."""
+    sub = draw(st.sampled_from(("traj", "field", "limits", "plot")))
+    L = 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    def scaled():
+        return draw(st.floats(-1.2, 1.2)) * L
+
+    L1 = draw(st.sampled_from((0.0, L, 2.0 * scaled())))
+    argv = [sub, f"--L={L!r}", f"--L1={L1!r}"]
+    if sub in ("traj", "plot"):
+        argv += ["--region", draw(st.sampled_from(("diamond", "wedge")))]
+        if draw(st.booleans()):
+            argv += [f"--apex={scaled()!r}"]
+    if sub != "field":
+        t_min, t_max = draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0))
+        argv += [f"--t={t_min!r}:{t_max!r}:{draw(st.integers(0, 16))}"]
+        for _ in range(draw(st.integers(0, 2 if sub == "plot" else 1))):
+            zp = scaled()
+            zm = -zp if sub == "limits" and draw(st.booleans()) else scaled()
+            argv += [f"--start={zp!r},{zm!r}"]
+    if sub != "traj":
+        if sub != "limits" or draw(st.booleans()):
+            argv += ["--grid", str(draw(st.integers(0, 8)))]
+    if sub == "limits":
+        argv += ["--mode", draw(st.sampled_from(("minkowski", "wedge"))),
+                 f"--tol={10.0 ** draw(st.floats(-12.0, 1.0))!r}"]
+    if sub == "plot":
+        if draw(st.booleans()):
+            argv += ["--shade"]
+        if draw(st.booleans()):
+            argv += [f"--hyperbola-w={10.0 ** draw(st.floats(-300.0, 300.0))!r}"]
+    else:
+        argv += ["--format", draw(st.sampled_from(("csv", "json")))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzz_argv_total(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert not _NONFINITE.search(out.getvalue()), argv
+
+
 # --------------------------------------------------------------- table content
 
 def _rows(text):
@@ -125,6 +201,17 @@ def test_traj_wedge_boost_row(tmp_path):
     assert abs(float(last["x0"]) - math.sinh(1.0)) < 1e-12
     assert abs(float(last["x1"]) - math.cosh(1.0)) < 1e-12
     assert abs(float(last["T"]) - 1.0 / (2.0 * math.pi)) < 1e-12
+
+
+def test_traj_wedge_long_orbit_keeps_acceleration(tmp_path):
+    # (x1 - apex)^2 - x0^2 cancels to zero at t = 30; a is an orbit constant
+    out = tmp_path / "w.csv"
+    assert main(["traj", "--region", "wedge", "--start=0.7,-1.3",
+                 "--t", "0:30:3", "--out", str(out)]) == 0
+    a = 1.0 / math.sqrt(1.0 - 0.3 * 0.3)
+    for row in _rows(out.read_text()):
+        assert abs(float(row["a"]) - a) < 1e-12
+        assert abs(float(row["T"]) - a / (2.0 * math.pi)) < 1e-12
 
 
 def test_traj_roundtrip_through_library():
@@ -229,6 +316,6 @@ def test_stdout_default(capsys):
     reason="console script not on PATH")
 def test_console_script_entry():
     res = subprocess.run(["diamondflow", "traj", "--t", "0:1:2"],
-                         capture_output=True, text=True, env=_ENV)
+                         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("t,z_plus,z_minus")

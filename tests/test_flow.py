@@ -5,7 +5,6 @@ import pytest
 
 from _helpers import interior_pairs, interior_points, max_coord_diff
 from diamondflow.errors import (
-    DegenerateDenominator,
     OutOfRange,
     OutOfRegion,
     StepOutOfRegion,

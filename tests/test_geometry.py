@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diamondflow.errors import LightlikeInput, OutOfRegion
+from diamondflow.errors import LightlikeInput, OutOfRange, OutOfRegion
 from diamondflow.geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -32,10 +32,13 @@ def test_minkowski_square_signature():
 
 
 def test_point_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    # domain errors, so the CLI reports an overflowed coordinate with exit 3
+    with pytest.raises(OutOfRange):
         SpacetimePoint(math.nan, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         SpacetimePoint(0, math.inf)
+    with pytest.raises(OutOfRange):
+        NullRadialCoords(math.inf, 0.0)
 
 
 def test_null_coords_basics():
@@ -54,7 +57,7 @@ def test_null_coords_off_axis_direction():
 
 
 def test_null_ordering_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         NullRadialCoords(-1.0, 1.0)
 
 

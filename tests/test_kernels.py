@@ -1,181 +1,36 @@
-import math
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from diamondflow import _kernels as K
+from diamondflow.geometry import BOUNDARY_MARGIN
 
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    prev = K.active_backend()
-    yield
-    K.set_backend(prev)
-
-
-# ------------------------------------------------------------------ selection
-
-def test_available_backends():
-    avail = K.available_backends()
-    assert "numpy" in avail
-    if K.HAVE_NUMBA:
-        assert "numba" in avail
-
-
-def test_set_backend_roundtrip():
-    assert K.set_backend("numpy") == "numpy"
-    assert K.active_backend() == "numpy"
-    resolved = K.set_backend("auto")
-    assert resolved == ("numba" if K.HAVE_NUMBA else "numpy")
-    assert K.active_backend() == resolved
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        K.set_backend("fortran")
-
-
-@pytest.mark.skipif(K.HAVE_NUMBA, reason="requires an env without numba")
-def test_numba_request_without_numba():
-    with pytest.raises(RuntimeError):
-        K.set_backend("numba")
-
-
-def _run_import(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("DIAMONDFLOW_BACKEND", None)
-    else:
-        env["DIAMONDFLOW_BACKEND"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import diamondflow; print(diamondflow.active_backend())"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_var_selects_backend():
-    out = _run_import("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_var_numba():
-    out = _run_import("numba")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numba"
-
-
-def test_env_var_auto_default():
-    expect = "numba" if K.HAVE_NUMBA else "numpy"
-    for value in (None, "auto"):
-        out = _run_import(value)
-        assert out.returncode == 0
-        assert out.stdout.strip() == expect
-
-
-def test_env_var_invalid_fails_import():
-    out = _run_import("cuda")
-    assert out.returncode != 0
-    assert "cuda" in out.stderr
-
-
-# --------------------------------------------------------------------- parity
-
-def _both(fn, *args):
-    K.set_backend("numba")
-    a = fn(*args)
-    K.set_backend("numpy")
-    b = fn(*args)
-    return a, b
-
-
-@needs_numba
-def test_parity_diamond_orbit():
-    rng = np.random.default_rng(5)
-    t = np.linspace(-4.0, 4.0, 257)
-    for _ in range(25):
-        u = rng.uniform(-0.95, 0.95, 2)
-        a, b = _both(K.diamond_orbit, u.max(), u.min(), 1.0, t)
-        # small absolute slack: orbit components cross zero, where the
-        # one-ulp libm difference between backends dominates
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-13)
-        assert math.isclose(a[2], b[2], rel_tol=1e-12)
-
-
-@needs_numba
-def test_parity_diamond_orbit_grid():
-    rng = np.random.default_rng(6)
-    t = np.linspace(-3.0, 3.0, 101)
-    up0 = rng.uniform(-0.9, 0.9, 40)
-    um0 = up0 - rng.uniform(0.0, 0.05, 40)
-    a, b = _both(K.diamond_orbit_grid, up0, um0, 1.0, t)
-    assert a[0].shape == (40, 101)
-    np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-13)
-    assert math.isclose(a[2], b[2], rel_tol=1e-12)
-
-
-@needs_numba
-def test_parity_wedge_orbit():
-    t = np.linspace(-4.0, 4.0, 257)
-    a, b = _both(K.wedge_orbit, 0.3, 1.7, t)
-    np.testing.assert_allclose(a[0], b[0], rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(a[1], b[1], rtol=1e-13, atol=1e-13)
-
-
-@needs_numba
-def test_parity_field_grid():
-    rng = np.random.default_rng(7)
-    up = rng.uniform(-0.99, 0.99, 200)
-    um = up - rng.uniform(0.0, 0.01, 200)
-    a, b = _both(K.field_grid, up, um, 1.0)
-    for x, y in zip(a, b):
-        np.testing.assert_allclose(x, y, rtol=1e-13, atol=0)
-
-
-@needs_numba
-def test_parity_rk4():
-    a, b = _both(K.rk4_diamond, 0.4, -0.2, 1.0, 0.7, 500)
-    assert a == b
-    a, b = _both(K.rk4_wedge, 0.1, 0.8, -0.6, 400)
-    assert a == b
-
-
-# ------------------------------------------------------------- kernel contracts
 
 def test_orbit_identity_at_zero():
-    up, um, _ = K.diamond_orbit(0.37, -0.12, 1.0, np.zeros(3))
+    up, um = K.diamond_orbit(0.37, -0.12, 1.0, np.zeros(3))
     assert (up == 0.37).all()
     assert (um == -0.12).all()
 
 
 def test_center_orbit_tanh():
     t = np.linspace(-6.0, 6.0, 61)
-    up, um, _ = K.diamond_orbit(0.0, 0.0, 2.0, t)
+    up, um = K.diamond_orbit(0.0, 0.0, 2.0, t)
     np.testing.assert_allclose(up, 2.0 * np.tanh(0.5 * t), rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(um, up, rtol=0, atol=0)
 
 
-def test_min_den_interior_floor():
-    # for |u| <= v*L the denominator never drops below sqrt(1 - v^2)
-    _, _, md = K.diamond_orbit(0.9, -0.9, 1.0, np.linspace(-30.0, 30.0, 2001))
-    assert md >= math.sqrt(1.0 - 0.81) - 1e-9
-
-
-def test_min_den_flags_exterior_pole():
-    # an exterior start crosses the flow-map pole at t = -2 atanh(2/3)
-    K.set_backend("numpy")
-    t = np.array([0.0, -2.0 * math.atanh(2.0 / 3.0), 1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, md = K.diamond_orbit(1.5, -0.5, 1.0, t)
-    assert md < K.DEGENERATE_DENOM_TOL
+def test_orbit_finite_for_interior_starts():
+    # The interiority margin keeps the Moebius denominator above
+    # sqrt(2 * margin), so interior orbits stay finite until cosh(t/2)
+    # overflows near |t| = 1420.  |u| <= L is not asserted: at large |t|
+    # the Moebius form overshoots the boundary by ~1e-12 relative.
+    rng = np.random.default_rng(11)
+    t = np.linspace(-1400.0, 1400.0, 2801)
+    edge = np.nextafter(1.0 - BOUNDARY_MARGIN, 0.0)
+    for size in (1e-3, 1.0, 1e3):
+        starts = rng.uniform(-edge, edge, (200, 2)) * size
+        starts[0] = (edge * size, -edge * size)
+        for up0, um0 in starts:
+            up, um = K.diamond_orbit(max(up0, um0), min(up0, um0), size, t)
+            assert np.isfinite(up).all() and np.isfinite(um).all()
 
 
 def test_rk4_status_flags():
@@ -192,6 +47,6 @@ def test_rk4_status_flags():
 def test_rk4_matches_closed_form():
     up, um, status = K.rk4_diamond(0.4, -0.2, 1.0, 0.7, 400)
     assert status == 0
-    ep, em, _ = K.diamond_orbit(0.4, -0.2, 1.0, np.array([0.7]))
+    ep, em = K.diamond_orbit(0.4, -0.2, 1.0, np.array([0.7]))
     assert abs(up - ep[0]) < 1e-11
     assert abs(um - em[0]) < 1e-11
