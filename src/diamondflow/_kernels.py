@@ -1,9 +1,14 @@
 """Array kernels for the closed-form flows and the RK4 oracle.
 
-diamond_orbit, diamond_orbit_grid, wedge_orbit and field_grid evaluate the
-Moebius flow, the boost and the thermal field by numpy broadcasting.
-rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops
-and never consult the closed forms, so they stay an independent check.
+The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L) by t/2:
+diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never leaves
+|u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
+from the rapidities, not from the rounded u(t).  field_grid needs no atanh:
+with q_pm = (1 - v_pm)(1 + v_pm), v = u/L, beta_pm = (L/2) q_pm,
+T = 1/(pi L sqrt(q+ q-)), ratio = |v+ - v-|/2 and a = 2 pi T ratio, with
+no product of two L-sized factors.  wedge_orbit is the boost.  rk4_diamond
+and rk4_wedge step the generator field in u coordinates with scalar RK4
+loops and never consult the closed forms, so they stay an independent check.
 """
 
 from __future__ import annotations
@@ -11,14 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _mobius_orbit(vp, vm, size, t):
-    # vp, vm are u/L, scalars or (m, 1) columns broadcast against t
-    s = 0.5 * t
-    ch = np.cosh(s)
-    sh = np.sinh(s)
-    out_p = size * (vp * ch + sh) / (vp * sh + ch)
-    out_m = size * (vm * ch + sh) / (vm * sh + ch)
-    return out_p, out_m
+def _rapidities(u_plus, u_minus, size, t):
+    s = 0.5 * np.asarray(t, dtype=np.float64)
+    return (np.arctanh(np.asarray(u_plus, dtype=np.float64) / size) + s,
+            np.arctanh(np.asarray(u_minus, dtype=np.float64) / size) + s)
 
 
 def _rk4_diamond_loop(u_plus, u_minus, size, t, n_steps):
@@ -93,21 +94,22 @@ def _rk4_wedge_loop(x0, x1_rel, t, n_steps):
     return a, b, 0
 
 
-def diamond_orbit(u_plus: float, u_minus: float, size: float, t: np.ndarray):
-    """Orbit of one centered null pair over the modular parameters t.
+def diamond_orbit(u_plus, u_minus, size: float, t):
+    """Orbits of centered null pairs over the modular parameters t.
 
+    The starts and t broadcast together: scalars against a t grid give one
+    orbit, (m, 1) columns against an (n,) grid give (m, n) outputs.
     Returns (u_plus(t), u_minus(t))."""
     size = float(size)
-    return _mobius_orbit(float(u_plus) / size, float(u_minus) / size, size,
-                         np.asarray(t, dtype=np.float64))
+    rho_p, rho_m = _rapidities(u_plus, u_minus, size, t)
+    return size * np.tanh(rho_p), size * np.tanh(rho_m)
 
 
-def diamond_orbit_grid(u0_plus: np.ndarray, u0_minus: np.ndarray, size: float, t: np.ndarray):
-    """Orbits of many centered null pairs over a shared t grid; (m, n) outputs."""
+def orbit_temperature(u_plus, u_minus, size: float, t):
+    """Temperature cosh rho+(t) cosh rho-(t) / (pi L) along the orbit of diamond_orbit."""
     size = float(size)
-    vp = (np.asarray(u0_plus, dtype=np.float64) / size)[:, None]
-    vm = (np.asarray(u0_minus, dtype=np.float64) / size)[:, None]
-    return _mobius_orbit(vp, vm, size, np.asarray(t, dtype=np.float64)[None, :])
+    rho_p, rho_m = _rapidities(u_plus, u_minus, size, t)
+    return np.cosh(rho_p) / (np.pi * size) * np.cosh(rho_m)
 
 
 def wedge_orbit(x0: float, x1_rel: float, t: np.ndarray):
@@ -122,16 +124,13 @@ def wedge_orbit(x0: float, x1_rel: float, t: np.ndarray):
 def field_grid(u_plus: np.ndarray, u_minus: np.ndarray, size: float):
     """Thermal field quantities (beta+, beta-, T, a, ratio) for centered pairs."""
     size = float(size)
-    u_plus = np.asarray(u_plus, dtype=np.float64)
-    u_minus = np.asarray(u_minus, dtype=np.float64)
-    beta_p = (size * size - u_plus * u_plus) / (2.0 * size)
-    beta_m = (size * size - u_minus * u_minus) / (2.0 * size)
-    bnorm = np.sqrt(beta_p * beta_m)
-    temperature = 1.0 / (2.0 * np.pi * bnorm)
-    radius = 0.5 * np.abs(u_plus - u_minus)
-    accel = radius / (size * bnorm)
-    ratio = radius / size
-    return beta_p, beta_m, temperature, accel, ratio
+    vp = np.asarray(u_plus, dtype=np.float64) / size
+    vm = np.asarray(u_minus, dtype=np.float64) / size
+    qp = (1.0 - vp) * (1.0 + vp)
+    qm = (1.0 - vm) * (1.0 + vm)
+    temperature = 1.0 / (np.pi * size * np.sqrt(qp * qm))
+    ratio = 0.5 * np.abs(vp - vm)
+    return 0.5 * size * qp, 0.5 * size * qm, temperature, 2.0 * np.pi * temperature * ratio, ratio
 
 
 def rk4_diamond(u_plus: float, u_minus: float, size: float, t: float, n_steps: int):

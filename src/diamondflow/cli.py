@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import field_grid
+from ._kernels import diamond_orbit, field_grid, orbit_temperature
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import diamond_flow, wedge_flow
@@ -27,11 +27,16 @@ from .geometry import (
     WedgeSpec,
     from_null,
     null_from_centered,
+    require_interior_null,
 )
 from .limits import deviation_scan, regime_map
-from .thermo import acceleration_at, diamond_temperature, wedge_temperature
+from .thermo import acceleration_at, wedge_temperature
 
 _FIELD_MARGIN = 1e-3
+
+# Most orbit samples, table rows or heat-map cells one run may produce;
+# checked before anything is allocated.
+MAX_OUTPUT_ROWS = 10_000_000
 
 
 class ConfigError(Exception):
@@ -243,6 +248,11 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("--hyperbola-w must be positive")
         if cfg.shade and cfg.region != "diamond":
             raise ConfigError("--shade is defined for --region diamond")
+    grid = cfg.grid_n or 0
+    cells = {"field": grid * (grid + 1) // 2, "limits": grid,
+             "plot": grid * grid if cfg.shade else 0}.get(cfg.subcommand, 0)
+    if max(cfg.n_t, cells) > MAX_OUTPUT_ROWS:
+        raise ConfigError(f"--t or --grid asks for more than {MAX_OUTPUT_ROWS} rows or cells")
 
 
 # ----------------------------------------------------------------- subcommands
@@ -256,13 +266,18 @@ def cmd_traj(cfg: RunConfig) -> str:
     if cfg.region == "diamond":
         d = DiamondSpec(cfg.size_L, cfg.translation_L1)
         z0 = NullRadialCoords(zp0, zm0)
+        # a is an orbit constant, and T is read from the rapidities: from
+        # the rounded u(t) it would lose its digits as the orbit nears a face.
+        accel = acceleration_at(z0, d)
+        up0, um0, axis = require_interior_null(z0, d)
+        ups, ums = diamond_orbit(up0, um0, d.size_L, t_values)
+        temps = orbit_temperature(up0, um0, d.size_L, t_values)
         rows = []
-        for t in t_values:
-            zt = diamond_flow(z0, float(t), d)
+        for t, up, um, temp in zip(t_values, ups, ums, temps):
+            zt = null_from_centered(float(up), float(um), axis, d)
             x = from_null(zt)
-            sample = diamond_temperature(zt, d)
             rows.append((float(t), zt.z_plus, zt.z_minus, x.x0, x.x1,
-                         sample.temperature, acceleration_at(zt, d)))
+                         float(temp), accel))
     else:
         w = WedgeSpec(cfg.apex)
         x0 = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
@@ -370,7 +385,7 @@ def _shade_cells(d: DiamondSpec, n: int):
     up_c = np.repeat(centers, n)
     um_c = np.tile(centers, n)
     bp, bm, _, _, _ = field_grid(up_c, um_c, L)
-    value = 2.0 * np.sqrt(bp * bm) / L
+    value = 2.0 * np.sqrt((bp / L) * (bm / L))
 
     def corner(up, um):
         return (L1 + 0.5 * (up - um), 0.5 * (up + um))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import OutOfRange
+
 _W = 640
 _H = 640
 _MARGIN = 40.0
@@ -36,6 +38,10 @@ class _Frame:
                          (_H - 2 * _MARGIN) / (y_hi - y_lo))
         self.x_mid = 0.5 * (x_lo + x_hi)
         self.y_mid = 0.5 * (y_lo + y_hi)
+        # Float subtraction and addition overflow to inf without raising,
+        # which would collapse the figure to a point or print inf.
+        if not (self.scale > 0.0 and math.isfinite(self.x_mid) and math.isfinite(self.y_mid)):
+            raise OutOfRange("the figure's extent exceeds the float range")
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
 

@@ -5,16 +5,18 @@ The wedge flow is the boost about the wedge edge,
     x0(t) = x0 cosh t + (x1 - apex) sinh t,
     x1(t) = apex + (x1 - apex) cosh t + x0 sinh t,
 
-and the diamond flow acts on diamond-centered null coordinates u_pm by
-the Moebius map
+and the diamond flow, the conformal image of the boost, shifts the
+rapidities rho_pm = atanh(u_pm/L) of the diamond-centered null
+coordinates u_pm by t/2:
 
-    u(t)/L = (u/L cosh(t/2) + sinh(t/2)) / (u/L sinh(t/2) + cosh(t/2)).
+    u_pm(t) = L tanh(rho_pm + t/2),
 
-Translated diamonds reduce to the centered case by the coordinate shift
-in geometry.centered_null_pair, so translation covariance is exact by
+which stays in the closed diamond for every t.  Translated diamonds
+reduce to the centered case by the coordinate shift in
+geometry.centered_null_pair, so translation covariance is exact by
 construction.  integrate_flow_rk4 is an independent check on the closed
-forms: it integrates the generator field with classical fixed-step RK4
-and never consults the Moebius or boost formulas.
+forms: it integrates the generator field in u coordinates with classical
+fixed-step RK4 and never consults the rapidity or boost formulas.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .geometry import (
     NullRadialCoords,
     SpacetimePoint,
     WedgeSpec,
-    centered_null_pair,
     from_null,
     in_wedge,
     null_from_centered,
     require_interior_null,
 )
+from .thermo import _beta_norm, beta_field
 
 __all__ = [
     "Trajectory",
@@ -93,28 +95,20 @@ def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
     return SpacetimePoint(x.x0 * ch + rel * sh, w.apex_x1 + rel * ch + x.x0 * sh, x.x2, x.x3)
 
 
-def _mobius(u: float, size: float, ch: float, sh: float) -> float:
-    v = u / size
-    return size * (v * ch + sh) / (v * sh + ch)
-
-
 def diamond_flow(z: NullRadialCoords, t: float, d: DiamondSpec) -> NullRadialCoords:
-    """Moebius flow by modular parameter t on the diamond d."""
-    up, um, axis = centered_null_pair(z, d)
-    require_interior_null(up, um, d)
+    """Flow by modular parameter t on the diamond d: rho_pm -> rho_pm + t/2."""
+    up, um, axis = require_interior_null(z, d)
+    L = d.size_L
     s = 0.5 * t
-    ch = math.cosh(s)
-    sh = math.sinh(s)
-    new_up = _mobius(up, d.size_L, ch, sh)
-    new_um = _mobius(um, d.size_L, ch, sh)
-    return null_from_centered(new_up, new_um, axis, d)
+    return null_from_centered(L * math.tanh(math.atanh(up / L) + s),
+                              L * math.tanh(math.atanh(um / L) + s), axis, d)
 
 
 def generator(point, spec: RegionSpec) -> SpacetimePoint:
     """Tangent 4-vector of the flow at the given interior point.
 
     Wedge points are SpacetimePoint; diamond points are NullRadialCoords.
-    The diamond generator has null components beta_pm = (L^2 - u_pm^2)/(2L).
+    The diamond generator has null components beta_pm = L/(2 cosh^2 rho_pm).
     """
     if isinstance(spec, WedgeSpec):
         if not isinstance(point, SpacetimePoint):
@@ -124,11 +118,8 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
     if not isinstance(point, NullRadialCoords):
         raise TypeError("diamond generator expects NullRadialCoords")
-    up, um, axis = centered_null_pair(point, spec)
-    require_interior_null(up, um, spec)
-    L = spec.size_L
-    beta_p = (L * L - up * up) / (2.0 * L)
-    beta_m = (L * L - um * um) / (2.0 * L)
+    _, _, axis = require_interior_null(point, spec)
+    beta_p, beta_m = beta_field(point, spec)
     bt = 0.5 * (beta_p + beta_m)
     bs = 0.5 * (beta_p - beta_m)
     return SpacetimePoint(bt, bs * axis[0], bs * axis[1], bs * axis[2])
@@ -136,12 +127,8 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
 
 def proper_time_rate(z: NullRadialCoords, d: DiamondSpec) -> float:
     """dtau/dt = sqrt(beta+ beta-) for the diamond flow at z."""
-    up, um, _ = centered_null_pair(z, d)
-    require_interior_null(up, um, d)
-    L = d.size_L
-    beta_p = (L * L - up * up) / (2.0 * L)
-    beta_m = (L * L - um * um) / (2.0 * L)
-    return math.sqrt(beta_p * beta_m)
+    up, um, _ = require_interior_null(z, d)
+    return _beta_norm(up, um, d.size_L)
 
 
 def integrate_flow_rk4(point, t: float, n_steps: int, spec: RegionSpec):
@@ -158,8 +145,7 @@ def integrate_flow_rk4(point, t: float, n_steps: int, spec: RegionSpec):
         x0, rel, status = _kernels.rk4_wedge(point.x0, point.x1 - spec.apex_x1, t, n_steps)
         _raise_on_step_out(status)
         return SpacetimePoint(x0, spec.apex_x1 + rel, point.x2, point.x3)
-    up, um, axis = centered_null_pair(point, spec)
-    require_interior_null(up, um, spec)
+    up, um, axis = require_interior_null(point, spec)
     new_up, new_um, status = _kernels.rk4_diamond(up, um, spec.size_L, t, n_steps)
     _raise_on_step_out(status)
     return null_from_centered(new_up, new_um, axis, spec)
@@ -189,8 +175,7 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
             for i in range(n)
         )
         return Trajectory(spec, tuple(float(v) for v in ts), points, start)
-    up, um, axis = centered_null_pair(start, spec)
-    require_interior_null(up, um, spec)
+    up, um, axis = require_interior_null(start, spec)
     ups, ums = _kernels.diamond_orbit(up, um, spec.size_L, ts)
     points = tuple(
         from_null(null_from_centered(ups[i], ums[i], axis, spec)) for i in range(n)
@@ -243,8 +228,7 @@ def proper_acceleration(start, spec: RegionSpec) -> float:
             return math.sqrt(max(rel * rel - q.x0 * q.x0, 0.0))
 
     else:
-        up, um, _ = centered_null_pair(start, spec)
-        require_interior_null(up, um, spec)
+        require_interior_null(start, spec)
 
         def position(t: float) -> np.ndarray:
             q = from_null(diamond_flow(start, t, spec))

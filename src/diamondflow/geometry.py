@@ -236,8 +236,6 @@ def null_from_centered(u_plus: float, u_minus: float,
                        d: DiamondSpec) -> NullRadialCoords:
     """Global null-radial coordinates from centered signed null coordinates."""
     if d.translation_L1 == 0.0:
-        # Centered null coordinates are the global ones; no recombination,
-        # so the t = 0 flow is the exact identity.
         if u_plus >= u_minus:
             return NullRadialCoords(u_plus, u_minus, axis)
         # Rounding guard: a pair that started ordered cannot cross.
@@ -251,12 +249,13 @@ def null_from_centered(u_plus: float, u_minus: float,
     return NullRadialCoords(x0 + r, x0 - r, direction)
 
 
-def require_interior_null(u_plus: float, u_minus: float, d: DiamondSpec,
-                          margin: float = BOUNDARY_MARGIN) -> None:
-    """Reject centered pairs outside the open diamond or within margin*L of its faces."""
-    lim = d.size_L * (1.0 - margin)
+def require_interior_null(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
+    """centered_null_pair(z, d) for z strictly inside d, at least BOUNDARY_MARGIN*L from its faces."""
+    u_plus, u_minus, axis = centered_null_pair(z, d)
+    lim = d.size_L * (1.0 - BOUNDARY_MARGIN)
     if abs(u_plus) >= lim or abs(u_minus) >= lim:
         raise OutOfRegion(
             "point must lie strictly inside the diamond, away from the boundary: "
             f"|u+|={abs(u_plus)!r}, |u-|={abs(u_minus)!r}, limit={lim!r}"
         )
+    return u_plus, u_minus, axis

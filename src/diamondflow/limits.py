@@ -27,7 +27,6 @@ from .errors import OutOfRange, SpecMismatch
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
-    centered_null_pair,
     require_interior_null,
 )
 
@@ -134,8 +133,7 @@ def deviation_scan(mode: str, z0: NullRadialCoords, d: DiamondSpec,
         raise OutOfRange(f"start radius {r!r} must be below L={d.size_L!r}")
     if mode == "wedge" and not r > 0.0:
         raise OutOfRange("wedge mode needs a start with r > 0")
-    up, um, _ = centered_null_pair(z0, d)
-    require_interior_null(up, um, d)
+    up, um, _ = require_interior_null(z0, d)
 
     ts = np.linspace(t_min, t_max, n)
     ups, ums = _kernels.diamond_orbit(up, um, d.size_L, ts)
@@ -188,7 +186,7 @@ def regime_map(mode: str, d: DiamondSpec, t_probe: float, tol: float,
     else:
         u0p, u0m = -r_centered, r_centered
         shift = d.translation_L1
-    ups, ums = _kernels.diamond_orbit_grid(u0p, u0m, L, ts)
+    ups, ums = _kernels.diamond_orbit(u0p[:, None], u0m[:, None], L, ts)
     exact = np.stack([ups + shift, ums - shift], axis=-1)
     if mode == "minkowski":
         lp = 0.5 * L * ts[None, :] + r_centered[:, None]

@@ -1,12 +1,14 @@
 """Inverse-temperature field and local temperature for causal diamonds.
 
-The flow tangent at a diamond point, written in centered null
-coordinates u_pm, has components beta_pm = (L^2 - u_pm^2)/(2L).  Its
-Minkowski norm ||beta|| = sqrt(beta+ beta-) sets the local directional
-temperature T = 1/(2 pi ||beta||), which diverges toward the boundary
-and equals 1/(pi L) at the center.  The wedge assigns T = a/(2 pi) to
-the boost orbit with proper acceleration a; temperature_ratio compares
-the two assignments and equals r/L with r the centered radius.
+In the scale-free centered null coordinates v_pm = u_pm/L = tanh(rho_pm)
+the flow tangent has null components beta_pm = (L/2)(1 - v_pm)(1 + v_pm)
+= L/(2 cosh^2 rho_pm), zero on the faces.  Its Minkowski norm
+||beta|| = sqrt(beta+ beta-) sets the local directional temperature
+T = 1/(2 pi ||beta||) = cosh rho+ cosh rho- / (pi L), which diverges toward
+the boundary and equals 1/(pi L) at the center.  The orbit has proper
+acceleration a = 2 pi T r/L with r/L = |v+ - v-|/2.  The wedge assigns
+T = a/(2 pi), so temperature_ratio equals r/L.  L enters as one factor,
+never as L^2, so no result overflows before the quantity itself does.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ class FourMomentum:
             object.__setattr__(self, name, v)
 
 
+# ||beta|| = (L/2) sqrt((1 - v+^2)(1 - v-^2)); also flow.proper_time_rate.
+def _beta_norm(up: float, um: float, L: float) -> float:
+    vp, vm = up / L, um / L
+    return 0.5 * L * math.sqrt((1.0 - vp) * (1.0 + vp) * ((1.0 - vm) * (1.0 + vm)))
+
+
 def _closure_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
     # beta is polynomial, so it extends to the closed diamond; only the
     # quantities that divide by it need the interior margin.
@@ -77,13 +85,14 @@ def _closure_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tu
 
 
 def beta_field(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float]:
-    """Null components (beta+, beta-) = ((L^2 - u_pm^2)/(2L)) of the flow tangent.
+    """Null components beta_pm = (L/2)(1 - v_pm)(1 + v_pm) of the flow tangent, v = u/L.
 
     Defined on the closed diamond; vanishes on the corresponding null face.
     """
     up, um, _ = _closure_pair(z, d)
     L = d.size_L
-    return (L * L - up * up) / (2.0 * L), (L * L - um * um) / (2.0 * L)
+    vp, vm = up / L, um / L
+    return 0.5 * L * ((1.0 - vp) * (1.0 + vp)), 0.5 * L * ((1.0 - vm) * (1.0 + vm))
 
 
 def wedge_temperature(acceleration: float) -> float:
@@ -95,42 +104,30 @@ def wedge_temperature(acceleration: float) -> float:
 
 def diamond_temperature(z: NullRadialCoords, d: DiamondSpec) -> TemperatureSample:
     """Full thermal sample at a strictly interior diamond point."""
-    up, um, _ = centered_null_pair(z, d)
-    require_interior_null(up, um, d)
-    L = d.size_L
-    beta_p = (L * L - up * up) / (2.0 * L)
-    beta_m = (L * L - um * um) / (2.0 * L)
-    bnorm = math.sqrt(beta_p * beta_m)
-    radius = 0.5 * abs(up - um)
+    up, um, _ = require_interior_null(z, d)
+    bnorm = _beta_norm(up, um, d.size_L)
+    temperature = 1.0 / (_TWO_PI * bnorm)
     return TemperatureSample(
         point=z,
-        beta_null=(beta_p, beta_m),
+        beta_null=beta_field(z, d),
         beta_norm=bnorm,
-        temperature=1.0 / (_TWO_PI * bnorm),
-        acceleration=radius / (L * bnorm),
+        temperature=temperature,
+        acceleration=_TWO_PI * temperature * temperature_ratio(z, d),
     )
 
 
 def acceleration_at(z: NullRadialCoords, d: DiamondSpec) -> float:
-    """Proper acceleration 2r / sqrt((L^2-u+^2)(L^2-u-^2)) of the orbit through z.
+    """Proper acceleration a = 2 pi T r/L of the orbit through z, r the centered radius.
 
-    r is the centered radius; the central orbit (r = 0) is a geodesic
-    and returns 0.  Constant along each flow orbit.
+    Constant along each flow orbit; the central orbit (r = 0) is a geodesic.
     """
-    up, um, _ = centered_null_pair(z, d)
-    require_interior_null(up, um, d)
-    radius = 0.5 * abs(up - um)
-    if radius == 0.0:
-        return 0.0
-    L = d.size_L
-    return 2.0 * radius / math.sqrt((L * L - up * up) * (L * L - um * um))
+    return diamond_temperature(z, d).acceleration
 
 
 def temperature_ratio(z: NullRadialCoords, d: DiamondSpec) -> float:
     """Wedge-to-diamond temperature ratio at z; equals r/L algebraically."""
-    up, um, _ = centered_null_pair(z, d)
-    require_interior_null(up, um, d)
-    return 0.5 * abs(up - um) / d.size_L
+    up, um, _ = require_interior_null(z, d)
+    return 0.5 * abs(up / d.size_L - um / d.size_L)
 
 
 def radius_along_flow(r0: float, t: float, L: float) -> float:
@@ -170,10 +167,8 @@ def relative_entropy(p: FourMomentum, z: NullRadialCoords, d: DiamondSpec) -> fl
     P.beta = p0 beta^0 - vec p . vec beta with the tangent beta of the
     diamond flow at z; linear in p, zero when beta vanishes.
     """
-    up, um, axis = _closure_pair(z, d)
-    L = d.size_L
-    beta_p = (L * L - up * up) / (2.0 * L)
-    beta_m = (L * L - um * um) / (2.0 * L)
+    _, _, axis = _closure_pair(z, d)
+    beta_p, beta_m = beta_field(z, d)
     bt = 0.5 * (beta_p + beta_m)
     bs = 0.5 * (beta_p - beta_m)
     spatial = bs * (p.p1 * axis[0] + p.p2 * axis[1] + p.p3 * axis[2])

@@ -9,11 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diamondflow.cli import main
+from diamondflow.cli import MAX_OUTPUT_ROWS, ConfigError, RunConfig, _validate, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
 
@@ -100,16 +101,12 @@ def test_exit_spec_mismatch(capsys):
 
 
 _RANGE_ERRORS = [
-    "traj --t=-1500:1500:5",
+    "traj --t=-1500:1500:5",            # T ~ cosh^2(750)
     "traj --region wedge --t=-1000:1000:5",
-    "plot --start 0.5,-0.5 --t=-1500:1500:5",
-    "traj --L 1e-300 --start 1e-301,-1e-301 --t=0:1:3",
-    "plot --shade --grid 2 --L 1e200",
-    "limits --mode minkowski --start 0.5,-0.5 --t 0:1500:3",
-    "limits --mode minkowski --grid 3 --t 0:1500:3",
-    "field --grid 3 --L 1e-300",
-    "field --grid 3 --L 1e200",
-    "traj --L 1e200 --start 1e199,-1e199 --t=0:1:3",
+    "field --grid 3 --L 1e-307",        # T ~ 1/(pi L 1e-3)
+    "limits --mode wedge --L 1 --L1 1 --start 0.5,-0.5 --t 0:800:3",
+    "plot --region wedge --start=2,-2 --t=-709:709:3",  # extent ~ 1.6e308
+    "plot --L=1e307 --L1=1.5e308",      # frame center overflows
 ]
 
 _NONFINITE = re.compile(r"nan|inf", re.IGNORECASE)
@@ -123,6 +120,133 @@ def test_exit_range_error(command, capsys):
     assert not _NONFINITE.search(captured.out)
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# Orbits that run into the faces and diamonds near the ends of the float
+# range: every written value matches the closed form.
+_RANGE_EDGES = [
+    "plot --start 0.5,-0.5 --t=-1500:1500:5",
+    "traj --L 1e-300 --start 1e-301,-1e-301 --t=0:1:3",
+    "plot --shade --grid 2 --L 1e200",
+    "limits --mode minkowski --start 0.5,-0.5 --t 0:1500:3",
+    "limits --mode minkowski --grid 3 --t 0:1500:3",
+    "field --grid 3 --L 1e-300",
+    "field --grid 3 --L 1e200",
+    "traj --L 1e200 --start 1e199,-1e199 --t=0:1:3",
+]
+
+
+def _near(printed, exact, rel=0.0, slack=0.0):
+    """printed lies within half a printed digit, rel*|exact| and slack of exact."""
+    exact = float(exact)
+    half = 0.5 * 10.0 ** (math.floor(math.log10(abs(exact))) - 12) if exact else 0.0
+    return abs(float(printed) - exact) <= half + rel * abs(exact) + slack
+
+
+def _check_traj(text, L, start):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    L = mp.mpf(L)
+    rho0 = [mp.atanh(mp.mpf(u) / L) for u in start]
+    a = abs(mp.sinh(rho0[0] - rho0[1])) / L
+    for row in _rows(text):
+        rho = [r + mp.mpf(row["t"]) / 2 for r in rho0]
+        for col, r in (("z_plus", rho[0]), ("z_minus", rho[1])):
+            assert _near(row[col], L * mp.tanh(r), slack=8 * 2.0 ** -52 * float(L))
+        T = mp.cosh(rho[0]) * mp.cosh(rho[1]) / (mp.pi * L)
+        assert _near(row["T"], T, rel=1e-13), (row, T)
+        assert _near(row["a"], a, rel=1e-13), (row, a)
+
+
+def _check_field(text, L, grid):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    axis = np.linspace(-L + 1e-3 * L, L - 1e-3 * L, grid)
+    pairs = [(p, m) for p in axis for m in axis if p >= m]
+    rows = _rows(text)
+    assert len(rows) == len(pairs)
+    for row, (up, um) in zip(rows, pairs):
+        vp, vm = mp.mpf(up) / L, mp.mpf(um) / L
+        root = mp.sqrt((1 - vp * vp) * (1 - vm * vm))
+        want = {"beta_plus": L * (1 - vp * vp) / 2, "beta_minus": L * (1 - vm * vm) / 2,
+                "T": 1 / (mp.pi * L * root), "a": abs(vp - vm) / (L * root),
+                "ratio": abs(vp - vm) / 2}
+        for col, value in want.items():
+            assert _near(row[col], value, rel=4e-16), (row, col, value)
+
+
+def _check_limits_scan(text, L, r):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rows = _rows(text)
+    for row in rows:
+        t = mp.mpf(row["t"])
+        exact = [L * mp.tanh(mp.atanh(mp.mpf(u) / L) + t / 2) for u in (r, -r)]
+        limit = [L * t / 2 + r, L * t / 2 - r]
+        for col, value in zip(("exact_plus", "exact_minus", "limit_plus", "limit_minus"),
+                              exact + limit):
+            assert _near(row[col], value, slack=8 * 2.0 ** -52 * L), (row, col)
+        dev = max(abs(e - q) for e, q in zip(exact, limit))
+        rel = max(abs(e - q) / max(abs(e), 1e-12) for e, q in zip(exact, limit))
+        assert _near(row["abs_dev"], dev, slack=16 * 2.0 ** -52 * L)
+        assert _near(row["rel_dev"], rel, rel=1e-13, slack=16 * 2.0 ** -52)
+    footer = text.splitlines()[-1]
+    assert footer == (f"# max_abs_dev={max((r['abs_dev'] for r in rows), key=float)} "
+                      f"max_rel_dev={max((r['rel_dev'] for r in rows), key=float)}")
+
+
+def _check_regime(text, L, t_max, grid, tol=0.01):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    radii = L - L * 10.0 ** np.linspace(0.0, -6.0, grid + 2)[1:-1]
+    rows = _rows(text)
+    assert len(rows) == grid
+    for row, r in zip(rows, radii):
+        worst = 0
+        for t in np.linspace(0.0, t_max, 33):
+            for u, shift in ((r, r), (-r, -r)):
+                exact = L * mp.tanh(mp.atanh(mp.mpf(u) / L) + mp.mpf(t) / 2)
+                worst = max(worst, abs(exact - (L * mp.mpf(t) / 2 + shift))
+                            / max(abs(exact), 1e-12))
+        assert _near(row["r"], r) and _near(row["ratio"], r / L)
+        assert _near(row["max_rel_dev"], worst, rel=1e-13), (row, worst)
+        assert row["within_tol"] == ("1" if worst <= tol else "0")
+
+
+def _svg_points(text, tag):
+    return [[tuple(map(float, p.split(","))) for p in pts.split()]
+            for pts in re.findall(tag + r' points="([^"]*)"', text)]
+
+
+@pytest.mark.parametrize("command", _RANGE_EDGES)
+def test_range_edge_values(command, capsys):
+    assert main(command.split()) == 0
+    text = capsys.readouterr().out
+    assert not _NONFINITE.search(text)
+    opts = dict(zip(command.split()[1::2], command.split()[2::2]))
+    L = float(opts.get("--L", 1.0))
+    sub = command.split()[0]
+    if sub == "traj":
+        _check_traj(text, L, tuple(map(float, opts["--start"].split(","))))
+    elif sub == "field":
+        _check_field(text, L, int(opts["--grid"]))
+    elif sub == "limits" and "--grid" in opts:
+        _check_regime(text, L, 1500.0, int(opts["--grid"]))
+    elif sub == "limits":
+        _check_limits_scan(text, L, 0.5)
+    elif "--shade" in command:
+        # 2 x 2 cells centered at v = +-0.4995: shade sqrt((1-v+^2)(1-v-^2))
+        assert text.count('fill="rgb(255,191,191)"') == 4
+        assert round(255.0 * (1.0 - 0.4995 ** 2)) == 191
+    else:
+        # t = -1500, -750 | 0 | 750, 1500: the orbit sits on the bottom
+        # corner, at the start (x1, x0) = (0.5, 0), then on the top corner.
+        (top, right, bottom, _), = _svg_points(text, "<polygon")
+        orbit, = _svg_points(text, "<polyline")
+        assert orbit[:2] == [bottom, bottom] and orbit[3:] == [top, top]
+        center = (0.5 * (top[0] + bottom[0]), 0.5 * (top[1] + bottom[1]))
+        assert orbit[2] == pytest.approx(((center[0] + right[0]) / 2, center[1]),
+                                         abs=1e-4)
 
 
 @st.composite
@@ -192,6 +316,37 @@ def test_traj_center_row_values():
     assert abs(float(mid["T"]) - 1.0 / math.pi) < 1e-12
 
 
+def test_traj_long_orbit_temperature(tmp_path):
+    # T is read from the rapidities, so it stays exact where u(t) has
+    # rounded onto the faces (|t| >~ 24).
+    out = tmp_path / "long.csv"
+    assert main(["traj", "--t=-30:30:5", "--out", str(out)]) == 0
+    assert main(["traj", "--start=0.3,-0.5", "--t=-60:60:121", "--out", str(out)]) == 0
+    _check_traj(out.read_text(), 1.0, (0.3, -0.5))
+
+
+def test_validate_caps_output_size():
+    # Only validation runs here: a wrong cap must not allocate.
+    cap = MAX_OUTPUT_ROWS
+    big_field = next(g for g in range(4000, 5000) if g * (g + 1) // 2 > cap)
+    big_shade = next(g for g in range(3000, 4000) if g * g > cap)
+    ok = [RunConfig("traj", n_t=cap), RunConfig("limits", n_t=cap, mode="wedge"),
+          RunConfig("limits", grid_n=cap, mode="wedge"),
+          RunConfig("field", grid_n=big_field - 1),
+          RunConfig("plot", grid_n=big_shade - 1, shade=True),
+          RunConfig("plot", grid_n=10 * cap)]
+    for cfg in ok:
+        _validate(cfg)
+    bad = [RunConfig("traj", n_t=cap + 1), RunConfig("plot", n_t=cap + 1, grid_n=1),
+           RunConfig("limits", n_t=cap + 1, mode="wedge"),
+           RunConfig("limits", grid_n=cap + 1, mode="wedge"),
+           RunConfig("field", grid_n=big_field), RunConfig("field", grid_n=100_000),
+           RunConfig("plot", grid_n=big_shade, shade=True)]
+    for cfg in bad:
+        with pytest.raises(ConfigError, match=str(cap)):
+            _validate(cfg)
+
+
 def test_traj_wedge_boost_row(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["traj", "--region", "wedge", "--start", "1,-1",
@@ -246,6 +401,11 @@ def test_field_center_and_identities():
         assert abs(T - 1.0 / (2.0 * math.pi * math.sqrt(bp * bm))) <= 1e-12 * T
         ratio = 0.5 * (float(row["z_plus"]) - float(row["z_minus"]))
         assert abs(float(row["ratio"]) - ratio) < 1e-12
+
+
+def test_golden_field_matches_mpmath():
+    # every cell of the golden grid is the correctly rounded closed form
+    _check_field((GOLDEN / "field_unit.csv").read_text(), 1.0, 5)
 
 
 def test_limits_footer_and_headline(tmp_path):

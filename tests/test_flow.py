@@ -233,12 +233,15 @@ def test_proper_time_rate_center():
 
 
 def test_proper_time_rate_boundary_scaling():
-    # rate -> 0 like sqrt(eps) as z+ -> L
+    # rate -> 0 like sqrt(eps) as z+ -> L; the reference is exact, since
+    # 1 - u^2 in floats already carries 3e-10 relative error at eps = 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
     for eps in (1e-4, 1e-6, 1e-8):
         z = NullRadialCoords(1.0 - eps, 0.0)
         rate = proper_time_rate(z, UNIT)
-        want = math.sqrt((1.0 - (1.0 - eps) ** 2) * 1.0) / 2.0
-        assert abs(rate - want) < 1e-10 * want
+        want = mpmath.sqrt(1 - mpmath.mpf(z.z_plus) ** 2) / 2
+        assert abs(rate - want) < 1e-15 * want
 
 
 def test_proper_time_rate_equals_generator_norm():

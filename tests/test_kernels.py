@@ -1,13 +1,21 @@
 import numpy as np
+import pytest
 
 from diamondflow import _kernels as K
 from diamondflow.geometry import BOUNDARY_MARGIN
 
 
 def test_orbit_identity_at_zero():
-    up, um = K.diamond_orbit(0.37, -0.12, 1.0, np.zeros(3))
-    assert (up == 0.37).all()
-    assert (um == -0.12).all()
+    # tanh(atanh v) rounds twice, so u(0) = u0 holds to one ulp (for about
+    # one start in eight it is off by that ulp), and exactly at the center.
+    rng = np.random.default_rng(7)
+    u0 = np.concatenate([[0.37, -0.12], rng.uniform(-1.0, 1.0, 2000)])
+    up, um = K.diamond_orbit(u0, -u0, 1.0, np.zeros(1))
+    assert (np.abs(up - u0) <= np.spacing(np.abs(u0))).all()
+    assert (np.abs(um + u0) <= np.spacing(np.abs(u0))).all()
+    for size in (1.0, 1e-200, 1e200):
+        up, um = K.diamond_orbit(0.0, 0.0, size, np.zeros(3))
+        assert (up == 0.0).all() and (um == 0.0).all()
 
 
 def test_center_orbit_tanh():
@@ -18,10 +26,8 @@ def test_center_orbit_tanh():
 
 
 def test_orbit_finite_for_interior_starts():
-    # The interiority margin keeps the Moebius denominator above
-    # sqrt(2 * margin), so interior orbits stay finite until cosh(t/2)
-    # overflows near |t| = 1420.  |u| <= L is not asserted: at large |t|
-    # the Moebius form overshoots the boundary by ~1e-12 relative.
+    # tanh never overflows and never exceeds 1, so interior orbits stay
+    # finite and inside the closed diamond for every t.
     rng = np.random.default_rng(11)
     t = np.linspace(-1400.0, 1400.0, 2801)
     edge = np.nextafter(1.0 - BOUNDARY_MARGIN, 0.0)
@@ -31,6 +37,27 @@ def test_orbit_finite_for_interior_starts():
         for up0, um0 in starts:
             up, um = K.diamond_orbit(max(up0, um0), min(up0, um0), size, t)
             assert np.isfinite(up).all() and np.isfinite(um).all()
+            assert (np.abs(up) <= size).all() and (np.abs(um) <= size).all()
+
+
+def test_orbit_matches_mpmath():
+    # u(t) = L tanh(atanh(u0/L) + t/2) within 8 ulps of L for |t| <= 1400
+    # and L across 200 decades; the orbit never leaves |u| <= L.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(13)
+    edge = np.nextafter(1.0 - BOUNDARY_MARGIN, 0.0)
+    for _ in range(60):
+        size = 10.0 ** rng.uniform(-100.0, 100.0)
+        u0 = float(rng.uniform(-edge, edge)) * size
+        t = rng.uniform(-1400.0, 1400.0, 10)
+        t[0] = rng.uniform(-60.0, 60.0)
+        up, _ = K.diamond_orbit(u0, 0.0, size, t)
+        assert (np.abs(up) <= size).all()
+        rho = mpmath.atanh(mpmath.mpf(u0) / size)
+        for tk, uk in zip(t, up):
+            want = size * mpmath.tanh(rho + mpmath.mpf(tk) / 2)
+            assert abs(uk - want) <= 8 * np.spacing(size), (u0, size, tk)
 
 
 def test_rk4_status_flags():

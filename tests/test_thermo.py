@@ -126,6 +126,26 @@ def test_temperature_closed_form():
         assert abs(T - want) < 1e-12 * want
 
 
+def test_temperature_and_acceleration_scale_with_L():
+    # T and a have dimensions of 1/length: T(lam x; lam L) lam = T(x; L)
+    # across the whole float range, with no L^2 to overflow or underflow.
+    # Starts with r >= 0.05 L keep a well conditioned under the rounding
+    # of lam x.
+    rng = np.random.default_rng(35)
+    for L1 in (0.0, 0.4):
+        d = DiamondSpec(1.0, L1)
+        for up, um in interior_pairs(rng, 40, cap=0.9):
+            if up - um < 0.1:
+                continue
+            z = null_from_centered(up, um, (1.0, 0.0, 0.0), d)
+            T, a = diamond_temperature(z, d).temperature, acceleration_at(z, d)
+            for lam in 10.0 ** rng.uniform(-300.0, 300.0, 10):
+                zs = NullRadialCoords(lam * z.z_plus, lam * z.z_minus, z.direction)
+                ds = DiamondSpec(lam * d.size_L, lam * d.translation_L1)
+                assert abs(diamond_temperature(zs, ds).temperature * lam - T) <= 1e-14 * T
+                assert abs(acceleration_at(zs, ds) * lam - a) <= 1e-14 * a
+
+
 def test_tangency_with_flow():
     # (beta+, beta-) is the t=0 derivative of the flow in null coordinates.
     rng = np.random.default_rng(37)
