@@ -3,7 +3,8 @@
 The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L) by t/2:
 diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never leaves
 |u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
-from the rapidities, not from the rounded u(t).  field_grid needs no atanh:
+from the rapidities, not from the rounded u(t); global_null turns centered
+pairs into the global null and Cartesian columns.  field_grid needs no atanh:
 with q_pm = (1 - v_pm)(1 + v_pm), v = u/L, beta_pm = (L/2) q_pm,
 T = 1/(pi L sqrt(q+ q-)), ratio = |v+ - v-|/2 and a = 2 pi T ratio, with
 no product of two L-sized factors.  wedge_orbit is the boost.  rk4_diamond
@@ -110,6 +111,30 @@ def orbit_temperature(u_plus, u_minus, size: float, t):
     size = float(size)
     rho_p, rho_m = _rapidities(u_plus, u_minus, size, t)
     return np.cosh(rho_p) / (np.pi * size) * np.cosh(rho_m)
+
+
+def global_null(u_plus, u_minus, shift: float):
+    """Global (z_plus, z_minus, x0, x1) of centered pairs on the +e1 axis.
+
+    The array form of geometry.null_from_centered followed by from_null
+    for a diamond centered at x1 = shift, with the same float operations,
+    so both give the same bits."""
+    u_plus = np.asarray(u_plus, dtype=np.float64)
+    u_minus = np.asarray(u_minus, dtype=np.float64)
+    if shift == 0.0:
+        # Rounding guard: a pair that started ordered cannot cross.
+        mid = 0.5 * (u_plus + u_minus)
+        ordered = u_plus >= u_minus
+        z_plus = np.where(ordered, u_plus, mid)
+        z_minus = np.where(ordered, u_minus, mid)
+        sign = 1.0
+    else:
+        x0 = 0.5 * (u_plus + u_minus)
+        x1 = shift + 0.5 * (u_plus - u_minus)
+        r = np.abs(x1)
+        z_plus, z_minus = x0 + r, x0 - r
+        sign = np.where(x1 < 0.0, -1.0, 1.0)
+    return z_plus, z_minus, 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus) * sign
 
 
 def wedge_orbit(x0: float, x1_rel: float, t: np.ndarray):

@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import diamond_orbit, field_grid, orbit_temperature
+from ._kernels import diamond_orbit, field_grid, global_null, orbit_temperature
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
-from .flow import diamond_flow, wedge_flow
+from .flow import wedge_flow
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
     SpacetimePoint,
     WedgeSpec,
-    from_null,
-    null_from_centered,
     require_interior_null,
 )
 from .limits import deviation_scan, regime_map
@@ -65,40 +63,32 @@ class RunConfig:
 
 # ------------------------------------------------------------------ formatting
 
-def _fmt(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0
-    elif not math.isfinite(v):
-        raise OutOfRange(f"result {v!r} is not finite")
-    return f"{v:.12e}"
+def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
+    """CSV or JSON text of equal-length columns, one row per element.
 
-
-def _cell_csv(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    return _fmt(v)
-
-
-def _cell_json(v):
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, int):
-        return v
-    return float(_fmt(v))
-
-
-def _emit(cols, rows, fmt, footer_text=None, footer_fields=None) -> str:
+    Float columns print as %.12e, with -0.0 written as 0.0; a column with
+    a non-finite value is OutOfRange (exit 3).  Boolean columns print as
+    0 and 1.
+    """
+    values, specs = [], []
+    for name, col in zip(names, columns):
+        if col.dtype == np.bool_:
+            values.append(col.astype(np.int64).tolist())
+            specs.append("%d")
+            continue
+        if not np.isfinite(col).all():
+            raise OutOfRange(f"column {name} has a non-finite value")
+        values.append((col + 0.0).tolist())
+        specs.append("%.12e")
     if fmt == "csv":
-        lines = [",".join(cols)]
-        lines.extend(",".join(_cell_csv(v) for v in row) for row in rows)
+        row = ",".join(specs)
+        lines = [",".join(names), *(row % cells for cells in zip(*values))]
         if footer_text is not None:
             lines.append(footer_text)
         return "\n".join(lines) + "\n"
-    doc = {"columns": list(cols),
-           "rows": [{c: _cell_json(v) for c, v in zip(cols, row)} for row in rows]}
+    cells = [v if spec == "%d" else [float(spec % x) for x in v]
+             for v, spec in zip(values, specs)]
+    doc = {"columns": list(names), "rows": [dict(zip(names, r)) for r in zip(*cells)]}
     if footer_fields:
         doc.update(footer_fields)
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -269,49 +259,40 @@ def cmd_traj(cfg: RunConfig) -> str:
         # a is an orbit constant, and T is read from the rapidities: from
         # the rounded u(t) it would lose its digits as the orbit nears a face.
         accel = acceleration_at(z0, d)
-        up0, um0, axis = require_interior_null(z0, d)
-        ups, ums = diamond_orbit(up0, um0, d.size_L, t_values)
+        up0, um0, _ = require_interior_null(z0, d)
+        z_plus, z_minus, x0, x1 = global_null(
+            *diamond_orbit(up0, um0, d.size_L, t_values), d.translation_L1)
         temps = orbit_temperature(up0, um0, d.size_L, t_values)
-        rows = []
-        for t, up, um, temp in zip(t_values, ups, ums, temps):
-            zt = null_from_centered(float(up), float(um), axis, d)
-            x = from_null(zt)
-            rows.append((float(t), zt.z_plus, zt.z_minus, x.x0, x.x1,
-                         float(temp), accel))
     else:
         w = WedgeSpec(cfg.apex)
-        x0 = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-        points = [wedge_flow(x0, float(t), w) for t in t_values]
+        start = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
+        points = [wedge_flow(start, float(t), w) for t in t_values]
+        x0 = np.array([p.x0 for p in points])
+        x1 = np.array([p.x1 for p in points])
+        z_plus, z_minus = x0 + x1, x0 - x1
         # The acceleration is constant along the boost orbit.  Taken at the
         # start (which wedge_flow has validated) it avoids the cancellation
         # in (x1 - apex)^2 - x0^2 at large |t|; two square roots keep the
         # product in range.
-        rel = x0.x1 - cfg.apex
-        accel = 1.0 / (math.sqrt(rel - x0.x0) * math.sqrt(rel + x0.x0))
-        temperature = wedge_temperature(accel)
-        rows = [(float(t), x.x0 + x.x1, x.x0 - x.x1, x.x0, x.x1, temperature, accel)
-                for t, x in zip(t_values, points)]
-    return _emit(_TRAJ_COLS, rows, cfg.fmt)
+        rel = start.x1 - cfg.apex
+        accel = 1.0 / (math.sqrt(rel - start.x0) * math.sqrt(rel + start.x0))
+        temps = np.full_like(t_values, wedge_temperature(accel))
+    return _emit(_TRAJ_COLS, (t_values, z_plus, z_minus, x0, x1, temps,
+                              np.full_like(t_values, accel)), cfg.fmt)
 
 
 _FIELD_COLS = ("z_plus", "z_minus", "beta_plus", "beta_minus", "T", "a", "ratio")
 
 
 def cmd_field(cfg: RunConfig) -> str:
-    d = DiamondSpec(cfg.size_L, cfg.translation_L1)
     L = cfg.size_L
     m = _FIELD_MARGIN * L
     axis = np.linspace(-L + m, L - m, cfg.grid_n)
-    pairs = [(float(up), float(um)) for up in axis for um in axis if up >= um]
-    up_arr = np.array([p for p, _ in pairs])
-    um_arr = np.array([q for _, q in pairs])
-    bp, bm, temp, accel, ratio = field_grid(up_arr, um_arr, L)
-    rows = []
-    for k, (up, um) in enumerate(pairs):
-        z = null_from_centered(up, um, (1.0, 0.0, 0.0), d)
-        rows.append((z.z_plus, z.z_minus, float(bp[k]), float(bm[k]),
-                     float(temp[k]), float(accel[k]), float(ratio[k])))
-    return _emit(_FIELD_COLS, rows, cfg.fmt)
+    # One row per pair up >= um, up-major: the lower triangle of the axis grid.
+    i, j = np.tril_indices(cfg.grid_n)
+    up, um = axis[i], axis[j]
+    z_plus, z_minus, _, _ = global_null(up, um, cfg.translation_L1)
+    return _emit(_FIELD_COLS, (z_plus, z_minus, *field_grid(up, um, L)), cfg.fmt)
 
 
 _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
@@ -323,25 +304,21 @@ def cmd_limits(cfg: RunConfig) -> str:
     d = DiamondSpec(cfg.size_L, cfg.translation_L1)
     if cfg.grid_n is not None:
         rm = regime_map(cfg.mode, d, cfg.t_max, cfg.tol, cfg.grid_n)
-        rows = [(float(r), float(q), float(m), bool(w))
-                for r, q, m, w in zip(rm.r_values, rm.ratio,
-                                      rm.max_rel_dev, rm.within_tol)]
         true_cells = int(rm.within_tol.sum())
         footer = f"# true_cells={true_cells} of {cfg.grid_n}"
         fields = {"true_cells": true_cells, "cells": cfg.grid_n}
-        return _emit(_REGIME_COLS, rows, cfg.fmt, footer, fields)
+        return _emit(_REGIME_COLS, (rm.r_values, rm.ratio, rm.max_rel_dev, rm.within_tol),
+                     cfg.fmt, footer, fields)
     zp0, zm0 = cfg.starts[0]
     rep = deviation_scan(cfg.mode, NullRadialCoords(zp0, zm0), d,
                          cfg.t_min, cfg.t_max, cfg.n_t)
-    rows = [(float(t), float(e[0]), float(e[1]), float(l[0]), float(l[1]),
-             float(a), float(r))
-            for t, e, l, a, r in zip(rep.t_values, rep.exact, rep.limit,
-                                     rep.abs_dev, rep.rel_dev)]
-    footer = (f"# max_abs_dev={_fmt(rep.max_abs_dev)} "
-              f"max_rel_dev={_fmt(rep.max_rel_dev)}")
-    fields = {"max_abs_dev": _cell_json(rep.max_abs_dev),
-              "max_rel_dev": _cell_json(rep.max_rel_dev)}
-    return _emit(_SCAN_COLS, rows, cfg.fmt, footer, fields)
+    # The maxima of the abs_dev and rel_dev columns, which _emit checks
+    # for finiteness.
+    dev = (f"{rep.max_abs_dev:.12e}", f"{rep.max_rel_dev:.12e}")
+    footer = f"# max_abs_dev={dev[0]} max_rel_dev={dev[1]}"
+    fields = {"max_abs_dev": float(dev[0]), "max_rel_dev": float(dev[1])}
+    columns = (rep.t_values, *rep.exact.T, *rep.limit.T, rep.abs_dev, rep.rel_dev)
+    return _emit(_SCAN_COLS, columns, cfg.fmt, footer, fields)
 
 
 def cmd_plot(cfg: RunConfig) -> str:
@@ -350,54 +327,40 @@ def cmd_plot(cfg: RunConfig) -> str:
     if cfg.region == "diamond":
         d = DiamondSpec(cfg.size_L, cfg.translation_L1)
         L, L1 = cfg.size_L, cfg.translation_L1
-        outline = [(L1, L), (L1 + L, 0.0), (L1, -L), (L1 - L, 0.0)]
+        outline = ([L1, L1 + L, L1, L1 - L], [L, 0.0, -L, 0.0])
         for zp0, zm0 in cfg.starts:
-            z0 = NullRadialCoords(zp0, zm0)
-            pts = []
-            for t in t_values:
-                x = from_null(diamond_flow(z0, float(t), d))
-                pts.append((x.x1, x.x0))
-            orbits.append(pts)
-        shade = _shade_cells(d, cfg.grid_n) if cfg.shade else ()
+            up0, um0, _ = require_interior_null(NullRadialCoords(zp0, zm0), d)
+            _, _, x0, x1 = global_null(*diamond_orbit(up0, um0, L, t_values), L1)
+            orbits.append((x1, x0))
+        shade = _shade_cells(d, cfg.grid_n) if cfg.shade else None
         return render_figure(outline, True, orbits, cfg.hyperbola_w, shade)
     w = WedgeSpec(cfg.apex)
-    for zp0, zm0 in cfg.starts:
-        x0 = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-        pts = []
-        for t in t_values:
-            x = wedge_flow(x0, float(t), w)
-            pts.append((x.x1, x.x0))
-        orbits.append(pts)
     reach = 1.0
-    for pts in orbits:
-        for x1, t0 in pts:
-            reach = max(reach, abs(t0), x1 - cfg.apex)
-    outline = [(cfg.apex + reach, reach), (cfg.apex, 0.0),
-               (cfg.apex + reach, -reach)]
-    return render_figure(outline, False, orbits, cfg.hyperbola_w, ())
+    for zp0, zm0 in cfg.starts:
+        start = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
+        points = [wedge_flow(start, float(t), w) for t in t_values]
+        x0 = np.array([p.x0 for p in points])
+        x1 = np.array([p.x1 for p in points])
+        orbits.append((x1, x0))
+        reach = max(reach, float(np.abs(x0).max()), float((x1 - cfg.apex).max()))
+    outline = ([cfg.apex + reach, cfg.apex, cfg.apex + reach], [reach, 0.0, -reach])
+    return render_figure(outline, False, orbits, cfg.hyperbola_w)
 
 
 def _shade_cells(d: DiamondSpec, n: int):
+    """Quad corners (x1, x0), each (n*n, 4), and values of the heat map cells."""
     L, L1 = d.size_L, d.translation_L1
     m = _FIELD_MARGIN * L
     edges = np.linspace(-L + m, L - m, n + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    up_c = np.repeat(centers, n)
-    um_c = np.tile(centers, n)
-    bp, bm, _, _, _ = field_grid(up_c, um_c, L)
+    bp, bm, _, _, _ = field_grid(np.repeat(centers, n), np.tile(centers, n), L)
     value = 2.0 * np.sqrt((bp / L) * (bm / L))
-
-    def corner(up, um):
-        return (L1 + 0.5 * (up - um), 0.5 * (up + um))
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            p0, p1 = float(edges[i]), float(edges[i + 1])
-            q0, q1 = float(edges[j]), float(edges[j + 1])
-            quad = [corner(p0, q0), corner(p1, q0), corner(p1, q1), corner(p0, q1)]
-            cells.append((quad, float(value[i * n + j])))
-    return cells
+    # Cell (i, j) spans up in edges[i:i+2] and um in edges[j:j+2]; its
+    # corners run (p0, q0), (p1, q0), (p1, q1), (p0, q1).
+    lo, hi = edges[:-1], edges[1:]
+    up = np.repeat(np.stack([lo, hi, hi, lo], axis=1), n, axis=0)
+    um = np.tile(np.stack([lo, lo, hi, hi], axis=1), (n, 1))
+    return L1 + 0.5 * (up - um), 0.5 * (up + um), value
 
 
 _DISPATCH = {"traj": cmd_traj, "field": cmd_field,

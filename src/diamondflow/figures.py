@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import OutOfRange
 
 _W = 640
@@ -16,15 +18,15 @@ _H = 640
 _MARGIN = 40.0
 _PAD_FRACTION = 0.08
 
+_SHADE_POLYGON = ('<polygon points="%.4f,%.4f %.4f,%.4f %.4f,%.4f %.4f,%.4f" '
+                  'fill="rgb(255,%d,%d)" stroke="none"/>')
+
 
 def _bounds(point_groups):
-    xs = [p[0] for group in point_groups for p in group]
-    ys = [p[1] for group in point_groups for p in group]
-    if not xs:
-        xs = [-1.0, 1.0]
-        ys = [-1.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    xs = np.concatenate([np.ravel(x1) for x1, _ in point_groups])
+    ys = np.concatenate([np.ravel(x0) for _, x0 in point_groups])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     pad = _PAD_FRACTION * span
     return x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
@@ -46,29 +48,26 @@ class _Frame:
         self.y_lo, self.y_hi = y_lo, y_hi
 
     def to_px(self, x1, x0):
-        px = 0.5 * _W + (x1 - self.x_mid) * self.scale
-        py = 0.5 * _H - (x0 - self.y_mid) * self.scale
-        return px, py
+        """Pixel coordinates of world points, x and y interleaved on the last axis."""
+        px = 0.5 * _W + (np.asarray(x1, dtype=np.float64) - self.x_mid) * self.scale
+        py = 0.5 * _H - (np.asarray(x0, dtype=np.float64) - self.y_mid) * self.scale
+        return np.stack([px, py], axis=-1).reshape(*px.shape[:-1], -1)
 
-    def points_attr(self, pts):
-        return " ".join("%.4f,%.4f" % self.to_px(x1, x0) for x1, x0 in pts)
-
-
-def _shade_color(value):
-    v = min(max(value, 0.0), 1.0)
-    g = int(round(255.0 * v))
-    return f"rgb(255,{g},{g})"
+    def points_attr(self, x1, x0):
+        xy = self.to_px(x1, x0).tolist()
+        return " ".join(["%.4f,%.4f"] * (len(xy) // 2)) % tuple(xy)
 
 
-def render_figure(outline, closed, orbits, hyperbola_w=None, shade=()):
+def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
     """Assemble the SVG document.
 
-    outline: list of (x1, x0) vertices; closed draws a polygon, open a
-    polyline.  orbits: list of point lists.  hyperbola_w: if set, overlay
-    the right branch of x1^2 - x0^2 = w^2, dashed, clipped to the frame.
-    shade: list of (quad, value) pairs painted under everything else.
+    outline: (x1, x0) vertex arrays; closed draws a polygon, open a
+    polyline.  orbits: list of (x1, x0) arrays.  hyperbola_w: if set,
+    overlay the right branch of x1^2 - x0^2 = w^2, dashed, clipped to the
+    frame.  shade: None, or (x1, x0, value) with quad corners of shape
+    (m, 4) and one value per quad, painted under everything else.
     """
-    groups = [outline] + list(orbits) + [quad for quad, _ in shade]
+    groups = [outline, *orbits] + ([shade[:2]] if shade is not None else [])
     frame = _Frame(*_bounds(groups))
 
     parts = [
@@ -76,31 +75,34 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=()):
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    for quad, value in shade:
-        parts.append(f'<polygon points="{frame.points_attr(quad)}" '
-                     f'fill="{_shade_color(value)}" stroke="none"/>')
+    if shade is not None:
+        x1, x0, value = shade
+        green = np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64).tolist()
+        parts.extend(_SHADE_POLYGON % (*xy, g, g)
+                     for xy, g in zip(frame.to_px(x1, x0).tolist(), green))
     tag = "polygon" if closed else "polyline"
-    parts.append(f'<{tag} points="{frame.points_attr(outline)}" '
+    parts.append(f'<{tag} points="{frame.points_attr(*outline)}" '
                  f'fill="none" stroke="black" stroke-width="1.5"/>')
     if hyperbola_w is not None:
-        pts = _hyperbola_points(hyperbola_w, frame)
-        if len(pts) >= 2:
-            parts.append(f'<polyline points="{frame.points_attr(pts)}" '
+        x1, x0 = _hyperbola_points(hyperbola_w, frame)
+        if len(x1) >= 2:
+            parts.append(f'<polyline points="{frame.points_attr(x1, x0)}" '
                          f'fill="none" stroke="steelblue" stroke-width="1.2" '
                          f'stroke-dasharray="6 4"/>')
-    for orbit in orbits:
-        if len(orbit) >= 2:
-            parts.append(f'<polyline points="{frame.points_attr(orbit)}" '
+    for x1, x0 in orbits:
+        if len(x1) >= 2:
+            parts.append(f'<polyline points="{frame.points_attr(x1, x0)}" '
                          f'fill="none" stroke="crimson" stroke-width="1.2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def _hyperbola_points(w, frame, n=257):
-    pts = []
+    x1s, x0s = [], []
     for i in range(n):
         x0 = frame.y_lo + (frame.y_hi - frame.y_lo) * i / (n - 1)
         x1 = math.hypot(w, x0)
         if frame.x_lo <= x1 <= frame.x_hi:
-            pts.append((x1, x0))
-    return pts
+            x1s.append(x1)
+            x0s.append(x0)
+    return x1s, x0s

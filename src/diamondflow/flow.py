@@ -190,10 +190,9 @@ def _tau_integral(rate, t: float) -> float:
     # Gauss-Legendre on [0, t]; the integrand is smooth and the interval
     # tiny, so eight nodes are far beyond the accuracy needed here.
     half = 0.5 * t
-    mid = 0.5 * t
     acc = 0.0
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += wi * rate(mid + half * xi)
+        acc += wi * rate(half + half * xi)
     return half * acc
 
 

@@ -26,35 +26,25 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
-def test_golden_traj(tmp_path):
-    out = tmp_path / "traj.csv"
-    res = run_cli("traj", "--region", "diamond", "--t=-2:2:5", "--out", str(out))
+# (command, golden file): each output is compared byte for byte.
+_GOLDENS = [
+    ("traj --region diamond --t=-2:2:5", "traj_diamond.csv"),
+    ("traj --t=-2:2:5 --format json", "traj_diamond.json"),
+    ("field --grid 5", "field_unit.csv"),
+    ("limits --mode wedge --L 100 --L1 100 --start 1,-1 --t 0:1:5", "limits_wedge.csv"),
+    ("limits --mode wedge --L1 1 --grid 8 --t 0:1:21", "limits_regime.csv"),
+    ("plot --L 1 --L1 1.4142135623730951 --start 1,-1 --t=-2:2:101 --hyperbola-w 1",
+     "plot_fig2.svg"),
+    ("plot --shade --grid 8 --start 0.3,-0.3", "plot_shade.svg"),
+]
+
+
+@pytest.mark.parametrize("command, golden", _GOLDENS, ids=[g for _, g in _GOLDENS])
+def test_golden(command, golden, tmp_path):
+    out = tmp_path / golden
+    res = run_cli(*command.split(), "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert out.read_bytes() == (GOLDEN / "traj_diamond.csv").read_bytes()
-
-
-def test_golden_field(tmp_path):
-    out = tmp_path / "field.csv"
-    res = run_cli("field", "--grid", "5", "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    assert out.read_bytes() == (GOLDEN / "field_unit.csv").read_bytes()
-
-
-def test_golden_limits(tmp_path):
-    out = tmp_path / "limits.csv"
-    res = run_cli("limits", "--mode", "wedge", "--L", "100", "--L1", "100",
-                  "--start", "1,-1", "--t", "0:1:5", "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    assert out.read_bytes() == (GOLDEN / "limits_wedge.csv").read_bytes()
-
-
-def test_golden_plot(tmp_path):
-    out = tmp_path / "plot.svg"
-    res = run_cli("plot", "--L", "1", "--L1", "1.4142135623730951",
-                  "--start", "1,-1", "--t=-2:2:101", "--hyperbola-w", "1",
-                  "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    assert out.read_bytes() == (GOLDEN / "plot_fig2.svg").read_bytes()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_double_run_byte_identical(tmp_path):
@@ -102,6 +92,7 @@ def test_exit_spec_mismatch(capsys):
 
 _RANGE_ERRORS = [
     "traj --t=-1500:1500:5",            # T ~ cosh^2(750)
+    "traj --t=-1500:1500:5 --format json",
     "traj --region wedge --t=-1000:1000:5",
     "field --grid 3 --L 1e-307",        # T ~ 1/(pi L 1e-3)
     "limits --mode wedge --L 1 --L1 1 --start 0.5,-0.5 --t 0:800:3",

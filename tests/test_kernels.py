@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diamondflow import _kernels as K
-from diamondflow.geometry import BOUNDARY_MARGIN
+from diamondflow.geometry import BOUNDARY_MARGIN, DiamondSpec, from_null, null_from_centered
 
 
 def test_orbit_identity_at_zero():
@@ -77,3 +77,17 @@ def test_rk4_matches_closed_form():
     ep, em = K.diamond_orbit(0.4, -0.2, 1.0, np.array([0.7]))
     assert abs(up - ep[0]) < 1e-11
     assert abs(um - em[0]) < 1e-11
+
+
+def test_global_null_matches_scalar_path():
+    # The array form gives the bits of null_from_centered + from_null, the
+    # crossed pairs of the centered rounding guard included.
+    rng = np.random.default_rng(11)
+    for L, L1 in ((1.0, 0.0), (1.0, 0.7), (3.0, -4.5), (1e-3, 1e-3), (1e200, -1e199)):
+        up, um = rng.uniform(-L, L, (2, 400))
+        zp, zm, x0, x1 = K.global_null(up, um, L1)
+        for k in range(up.size):
+            z = null_from_centered(float(up[k]), float(um[k]), (1.0, 0.0, 0.0),
+                                   DiamondSpec(L, L1))
+            x = from_null(z)
+            assert (zp[k], zm[k], x0[k], x1[k]) == (z.z_plus, z.z_minus, x.x0, x.x1)
