@@ -1,0 +1,81 @@
+"""Array text kernels: `%.12e`, `%.4f` and `%d` cells, byte-identical to `%`.
+
+A cell is uint32 words of ASCII from tables, filler bytes (0) where the text is
+shorter; digits come from `rint(|x| * 10**p)`.  Python's `%` formats a value
+within 2**-50 of a tie (the product errs by at most 2**-52), a `%.12e` magnitude
+outside zero and [1e-296, DBL_MAX], `%.4f` from 9999 and `%d` outside [0, 9999].
+"""
+
+import numpy as np
+
+_E_MIN, _E_MAX = -296, 308
+
+
+def _words(*columns):  # four byte columns, one uint32 word per row
+    return np.stack(np.broadcast_arrays(*columns), -1).astype(np.uint8).view(np.uint32)[..., 0]
+
+
+_n = np.arange(10_000, dtype=np.int16)[:, None]
+_DIGITS = 48 + _n // np.int16([1000, 100, 10, 1]) % 10  # ASCII of 0000..9999
+_QUAD = _words(*_DIGITS.T)
+_BLANK = _words(*np.where(_n >= [1000, 100, 10, 0], _DIGITS, 0).T)  # leading zeros as filler
+_TAIL = _words(*_DIGITS[:1000, 1:].T, ord("e"))
+_LEAD = _words(np.repeat([0, ord("-")], 100), np.tile(_DIGITS[:100, 2], 2),
+               ord("."), np.tile(_DIGITS[:100, 3], 2))  # "-1.2" at 100 * sign + 12
+_n = abs(np.arange(_E_MIN, _E_MAX + 1))    # "+308", "-05": hundreds as filler below 100
+_EXP = _words(np.repeat([ord("-"), ord("+")], [-_E_MIN, _E_MAX + 1]),
+              *np.where(_n[:, None] >= [100, 0, 0], _DIGITS[_n, 1:], 0).T)
+_MINUS, _DOT = _words(ord("-"), 0, 0, 0), _words(ord("."), 0, 0, 0)
+# Correctly rounded 10**p for p = 12 - e over the kernel's exponent range.
+_POW10 = np.array([float(f"1e{p}") for p in range(12 - _E_MAX, 13 - _E_MIN)])
+
+
+def _far_from_tie(m):
+    return np.abs(m - np.floor(m) - 0.5) > 2.0 ** -50 * m
+
+
+def _fixed(x):
+    y = np.fmin(np.abs(x), 9999.0) * 1e4
+    q = np.rint(y).astype(np.int64)
+    ok = (np.abs(x) < 9999.0) & _far_from_tie(y)
+    return (np.where(np.signbit(x), _MINUS, 0), _BLANK[q // 10_000], _DOT, _QUAD[q % 10_000]), ok
+
+
+def _sci(x):
+    a = np.abs(x)
+    b = np.where((a >= 1e-296) & (a < np.inf), a, 1.0)
+    e = np.clip(np.floor(np.log10(b)).astype(np.int64), _E_MIN, _E_MAX)
+    m = b * _POW10[_E_MAX - e]
+    q = np.rint(m)
+    # Digits that round up to 10**13 carry into the next exponent, as do those
+    # of a log10 one short; one over (m < 10**12, below a power of ten) falls back.
+    ok = ((m >= 1e12) & (q <= 1e13) & (a == b) | (a == 0.0)) & _far_from_tie(m)
+    carry, keep = q == 1e13, ok & (a != 0.0)
+    q = np.where(keep, np.where(carry, 1e12, q), 0).astype(np.int64)
+    return (_LEAD[100 * np.signbit(x) + q // 10 ** 11], _QUAD[q // 10 ** 7 % 10_000],
+            _QUAD[q // 1000 % 10_000], _TAIL[q % 1000], _EXP[np.where(keep, e + carry, 0) - _E_MIN]), ok
+
+
+def cells(x: np.ndarray, spec: str) -> np.ndarray:
+    """ASCII cells, shape x.shape + (width,), of `spec % v` for each v in x."""
+    words, ok = {"%.12e": _sci, "%.4f": _fixed,
+                 "%d": lambda n: ((_BLANK[np.clip(n, 0, 9999)],), (n >= 0) & (n < 10_000))}[spec](x)
+    out = np.stack(np.broadcast_arrays(*words), -1).view(np.uint8)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        # numpy pads bytes strings with NUL, the filler byte.
+        text = np.array([(spec % v).encode() for v in x.ravel()[miss].tolist()])
+        flat = np.zeros((x.size, max(out.shape[-1], text.itemsize)), np.uint8)
+        flat[:, :out.shape[-1]] = out.reshape(x.size, -1)
+        flat.view(f"S{flat.shape[1]}")[miss, 0] = text
+        out = flat.reshape(*x.shape, -1)
+    return out
+
+
+def join(parts, sep: str) -> str:
+    """Rows of parts (str, the same in every row, or (n, w) cells) joined by sep, no filler."""
+    n = next(len(p) for p in parts if not isinstance(p, str))
+    blocks = [np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (n, len(p)))
+              if isinstance(p, str) else p for p in (*parts, sep)]
+    buf = np.concatenate(blocks, axis=1).ravel()
+    return buf[:buf.size - len(sep)].tobytes().translate(None, b"\0").decode("ascii")

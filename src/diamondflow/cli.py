@@ -3,12 +3,14 @@
 Exit codes: 0 success, 2 invalid configuration, 3 start or sample outside
 the region's domain, or a result that overflows or is not finite, 4
 mode/spec mismatch.  All numeric output is fixed at %.12e so identical
-configurations produce byte-identical files.
+configurations produce byte-identical files; CSV and SVG text comes from
+the array kernels of `_text`, byte-identical to Python's `%`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import diamond_orbit, field_grid, global_null, orbit_temperature
+from ._text import cells, join
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import wedge_flow
@@ -70,25 +73,20 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
     a non-finite value is OutOfRange (exit 3).  Boolean columns print as
     0 and 1.
     """
-    values, specs = [], []
     for name, col in zip(names, columns):
-        if col.dtype == np.bool_:
-            values.append(col.astype(np.int64).tolist())
-            specs.append("%d")
-            continue
-        if not np.isfinite(col).all():
+        if col.dtype != np.bool_ and not np.isfinite(col).all():
             raise OutOfRange(f"column {name} has a non-finite value")
-        values.append((col + 0.0).tolist())
-        specs.append("%.12e")
+    columns = [(col.astype(np.int64), "%d") if col.dtype == np.bool_ else (col + 0.0, "%.12e")
+               for col in columns]
     if fmt == "csv":
-        row = ",".join(specs)
-        lines = [",".join(names), *(row % cells for cells in zip(*values))]
+        row = [part for col, spec in columns for part in (",", cells(col, spec))]
+        lines = [",".join(names), join(row[1:], "\n")]
         if footer_text is not None:
             lines.append(footer_text)
-        return "\n".join(lines) + "\n"
-    cells = [v if spec == "%d" else [float(spec % x) for x in v]
-             for v, spec in zip(values, specs)]
-    doc = {"columns": list(names), "rows": [dict(zip(names, r)) for r in zip(*cells)]}
+        return "\n".join([*lines, ""])
+    values = [col.tolist() if spec == "%d" else [float(spec % x) for x in col.tolist()]
+              for col, spec in columns]
+    doc = {"columns": list(names), "rows": [dict(zip(names, r)) for r in zip(*values)]}
     if footer_fields:
         doc.update(footer_fields)
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -125,6 +123,7 @@ def _parse_trange(text: str) -> tuple[float, float, int]:
     return t_min, t_max, n
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="diamondflow")
     sub = ap.add_subparsers(dest="subcommand", required=True)

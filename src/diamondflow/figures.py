@@ -11,15 +11,13 @@ import math
 
 import numpy as np
 
+from ._text import cells, join
 from .errors import OutOfRange
 
 _W = 640
 _H = 640
 _MARGIN = 40.0
 _PAD_FRACTION = 0.08
-
-_SHADE_POLYGON = ('<polygon points="%.4f,%.4f %.4f,%.4f %.4f,%.4f %.4f,%.4f" '
-                  'fill="rgb(255,%d,%d)" stroke="none"/>')
 
 
 def _bounds(point_groups):
@@ -54,8 +52,8 @@ class _Frame:
         return np.stack([px, py], axis=-1).reshape(*px.shape[:-1], -1)
 
     def points_attr(self, x1, x0):
-        xy = self.to_px(x1, x0).tolist()
-        return " ".join(["%.4f,%.4f"] * (len(xy) // 2)) % tuple(xy)
+        xy = cells(self.to_px(x1, x0), "%.4f")
+        return join([xy[0::2], ",", xy[1::2]], " ")
 
 
 def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
@@ -77,9 +75,11 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
     ]
     if shade is not None:
         x1, x0, value = shade
-        green = np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64).tolist()
-        parts.extend(_SHADE_POLYGON % (*xy, g, g)
-                     for xy, g in zip(frame.to_px(x1, x0).tolist(), green))
+        xy = cells(frame.to_px(x1, x0), "%.4f")
+        g = cells(np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64), "%d")
+        points = [part for k in range(8) for part in (" ,"[k % 2], xy[:, k])][1:]
+        parts.append(join(['<polygon points="', *points, '" fill="rgb(255,', g, ",", g,
+                           ')" stroke="none"/>'], "\n"))
     tag = "polygon" if closed else "polyline"
     parts.append(f'<{tag} points="{frame.points_attr(*outline)}" '
                  f'fill="none" stroke="black" stroke-width="1.5"/>')
@@ -93,8 +93,8 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
         if len(x1) >= 2:
             parts.append(f'<polyline points="{frame.points_attr(x1, x0)}" '
                          f'fill="none" stroke="crimson" stroke-width="1.2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def _hyperbola_points(w, frame, n=257):

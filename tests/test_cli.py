@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diamondflow.cli import MAX_OUTPUT_ROWS, ConfigError, RunConfig, _validate, main
+from diamondflow.cli import MAX_OUTPUT_ROWS, ConfigError, RunConfig, _build_parser, _validate, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
 
@@ -45,6 +46,48 @@ def test_golden(command, golden, tmp_path):
     res = run_cli(*command.split(), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# Large outputs pinned by the SHA-256 of their stdout, recorded before the
+# CSV and SVG text moved to the array kernels; all exit 0.
+_SHA256_PINS = [
+    ("field --grid 400", "cc8b8d64ac934c3f4d52089b8a213d17b907e1ad0b6ac1a1cee5a36eae8c9c8f"),
+    ("plot --shade --grid 200", "549dbd1c2f3df577e48dc2017ab42045974adb686f18f78e8a921bf729adcc73"),
+    ("limits --mode wedge --L 1 --L1 1 --start 0.5,-0.5 --t 0:1:20001",
+     "bafc7bd13bce5bfa2354641abc0ed21c348be9a71ae0b066b1359c39d350868a"),
+    ("field --grid 64 --L 3.1e-200 --L1=-7e-201",
+     "627571ea5c36ebb54fc2b7057ff0e13a318ce682d0968371d0b94a018f178442"),
+    ("field --grid 64 --L 2.5e250 --L1=1e250",
+     "1cd8005963ef34b66f22ca90c3024175c94f9407854034ac67c897a034fdccfc"),
+    ("plot --start 0.5,-0.5 --start=0.2,-0.7 --t=-8:8:20001 --hyperbola-w 0.4",
+     "3936e9fc45d7be79b8ede64f70e7402affde0c5e1bd76110b75d80e4daee5084"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _SHA256_PINS, ids=[c for c, _ in _SHA256_PINS])
+def test_large_output_sha256(command, digest, capsys):
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Commands, help and usage errors in one process, which builds one parser.
+_SEQUENCE = ["field --grid 3", "traj --t 0:1:3 --format json", "--help",
+             "plot --grid 2 --shade", "limits --help", "traj --frobnicate",
+             "limits --mode wedge --L1 1 --t 0:1:3", "field --grid 3"]
+
+
+def test_parser_reuse_keeps_outputs(capsys):
+    def run(command):
+        code = main(command.split())
+        return (code, *capsys.readouterr())
+
+    first = [run(command) for command in _SEQUENCE]
+    again = [run(command) for command in reversed(_SEQUENCE)][::-1]
+    assert first == again and first[0] == first[-1]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 2, 0, 0]
+    assert first[2][1].startswith("usage: diamondflow") and "traj" in first[2][1]
+    assert "--frobnicate" in first[5][2]
+    assert _build_parser() is _build_parser()
 
 
 def test_double_run_byte_identical(tmp_path):
@@ -257,8 +300,15 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += [f"--apex={scaled()!r}"]
     if sub != "field":
-        t_min, t_max = draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0))
-        argv += [f"--t={t_min!r}:{t_max!r}:{draw(st.integers(0, 16))}"]
+        # Most draws give a valid range; about one in five swaps min and max
+        # and may ask for fewer than two samples, so exit 2 stays covered.
+        t_min = draw(st.floats(-2000.0, 1999.0))
+        t_max = draw(st.floats(t_min, 2000.0, exclude_min=True))
+        if draw(st.integers(0, 4)) == 4:
+            t_min, t_max, n = t_max, t_min, draw(st.integers(0, 16))
+        else:
+            n = draw(st.integers(2, 16))
+        argv += [f"--t={t_min!r}:{t_max!r}:{n}"]
         for _ in range(draw(st.integers(0, 2 if sub == "plot" else 1))):
             zp = scaled()
             zm = -zp if sub == "limits" and draw(st.booleans()) else scaled()

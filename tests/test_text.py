@@ -1,0 +1,102 @@
+"""The array text kernels against Python's own `%`, byte for byte."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from diamondflow._text import _fixed, _sci, cells, join
+
+
+def _check(values, spec):
+    x = np.asarray(values)
+    text = join([cells(x, spec)], "\n")
+    assert text.split("\n") == [spec % v for v in x.tolist()]
+
+
+_FINITE = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FINITE)
+@example([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_sci_matches_percent(values):
+    x = np.array(values)
+    _check(x, "%.12e")
+    _check(x + 0.0, "%.12e")    # the CLI's -0.0 normalisation
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FINITE)
+@example([-0.0, -0.00004, 0.00005, 9998.99995, 9999.0, 1e300])
+def test_fixed_matches_percent(values):
+    x = np.array(values)
+    _check(x, "%.4f")
+    _check(x + 0.0, "%.4f")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40))
+def test_int_matches_percent(values):
+    _check(np.array(values, dtype=np.int64), "%d")
+
+
+def test_sci_edge_values():
+    powers = [float(f"1e{k}") for k in range(-308, 309)]
+    # Ties at the next exponent, and values that round up into it.
+    next_exponent = [float(f"9.99999999999{d}e{k}")
+                     for d in ("95", "96", "9999") for k in range(-308, 308)]
+    _check(powers, "%.12e")
+    _check(np.negative(powers), "%.12e")
+    _check(next_exponent, "%.12e")
+    _check(np.negative(next_exponent), "%.12e")
+    # 13-digit ties (999999999999.5 itself has 13 digits) and one ulp beside them.
+    ties = np.array([999999999999.5, 1234567890123.5, 10000000000005.0, 99999999999995.0])
+    _check(np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]), "%.12e")
+    _check([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0], "%.12e")
+    # Two- and three-digit exponents.
+    _check([1e99, 9.99e99, 1.234e100, 1e100, 1e-99, 1.5e-99, 1e-100, 9.9e-101], "%.12e")
+
+
+def test_fixed_edge_values():
+    # k/32 are the exact %.4f ties; both sides round half to even.
+    ties = np.arange(-320, 321) / 32.0
+    _check(np.concatenate([ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)]), "%.4f")
+    _check([-0.00004, -0.0, 0.0, 0.00005, 639.99995, 9998.99995, 9999.0, 1e8, 5e-324], "%.4f")
+    assert join([cells(np.array([-0.00004]), "%.4f")], "\n") == "-0.0000"
+
+
+def test_int_edge_values():
+    _check(np.array([0, 9, 10, 99, 100, 255, 9999, 10_000, -1, 2 ** 63 - 1]), "%d")
+
+
+def test_nonfinite_cells_fall_back():
+    _check([np.inf, -np.inf, np.nan], "%.12e")
+    _check([np.inf, -np.inf, np.nan], "%.4f")
+
+
+def test_kernels_leave_few_cells_to_percent():
+    # The fast path covers typical values; only near-ties fall back.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=20_000) * 10.0 ** rng.uniform(-200, 200, 20_000)
+    assert _sci(x)[1].mean() > 0.97
+    assert _fixed(rng.uniform(-700.0, 700.0, 20_000))[1].mean() > 0.999
+
+
+def test_join_rows_and_constant_text():
+    x = np.array([[1.5, -2.0], [0.25, 1e10]])
+    xy = cells(x, "%.4f")
+    g = cells(np.array([7, 255]), "%d")
+    text = join(['<p a="', xy[:, 0], ",", xy[:, 1], '" g=', g, "/>"], "\n")
+    assert text == ('<p a="1.5000,-2.0000" g=7/>\n'
+                    '<p a="0.2500,10000000000.0000" g=255/>')
+    assert join([cells(np.array([1.0, 2.0]), "%.12e")], " ") == (
+        "1.000000000000e+00 2.000000000000e+00")
+
+
+@pytest.mark.parametrize("spec", ["%.12e", "%.4f"])
+def test_cells_keep_the_array_shape(spec):
+    x = np.arange(24.0).reshape(2, 3, 4) - 11.5
+    c = cells(x, spec)
+    assert c.shape[:3] == x.shape and c.dtype == np.uint8
+    assert join([c.reshape(24, -1)], ",") == ",".join(spec % v for v in x.ravel().tolist())
