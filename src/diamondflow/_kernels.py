@@ -7,9 +7,9 @@ from the rapidities, not from the rounded u(t); global_null turns centered
 pairs into the global null and Cartesian columns.  field_grid needs no atanh:
 with q_pm = (1 - v_pm)(1 + v_pm), v = u/L, beta_pm = (L/2) q_pm,
 T = 1/(pi L sqrt(q+ q-)), ratio = |v+ - v-|/2 and a = 2 pi T ratio, with
-no product of two L-sized factors.  wedge_orbit is the boost.  rk4_diamond
-and rk4_wedge step the generator field in u coordinates with scalar RK4
-loops and never consult the closed forms, so they stay an independent check.
+no product of two L-sized factors.  rk4_diamond and rk4_wedge step the
+generator field in u coordinates with scalar RK4 loops and never consult
+the closed forms, so they stay an independent check.
 """
 
 from __future__ import annotations
@@ -135,15 +135,6 @@ def global_null(u_plus, u_minus, shift: float):
         z_plus, z_minus = x0 + r, x0 - r
         sign = np.where(x1 < 0.0, -1.0, 1.0)
     return z_plus, z_minus, 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus) * sign
-
-
-def wedge_orbit(x0: float, x1_rel: float, t: np.ndarray):
-    """Boost orbit of (x0, x1 - apex) over the modular parameters t."""
-    x0, x1_rel = float(x0), float(x1_rel)
-    t = np.asarray(t, dtype=np.float64)
-    ch = np.cosh(t)
-    sh = np.sinh(t)
-    return x0 * ch + x1_rel * sh, x1_rel * ch + x0 * sh
 
 
 def field_grid(u_plus: np.ndarray, u_minus: np.ndarray, size: float):

@@ -18,20 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import diamond_orbit, field_grid, global_null, orbit_temperature
+from ._kernels import field_grid, global_null
 from ._text import cells, join
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
-from .flow import wedge_flow
-from .geometry import (
-    DiamondSpec,
-    NullRadialCoords,
-    SpacetimePoint,
-    WedgeSpec,
-    require_interior_null,
-)
+from .flow import Trajectory, sample_trajectory
+from .geometry import DiamondSpec, NullRadialCoords, SpacetimePoint, WedgeSpec
 from .limits import deviation_scan, regime_map
-from .thermo import acceleration_at, wedge_temperature
 
 _FIELD_MARGIN = 1e-3
 
@@ -246,38 +239,23 @@ def _validate(cfg: RunConfig) -> None:
 
 # ----------------------------------------------------------------- subcommands
 
+def _orbit(cfg: RunConfig, start: tuple[float, float]) -> Trajectory:
+    """The orbit through one --start pair over the --t grid."""
+    zp0, zm0 = start
+    if cfg.region == "diamond":
+        region, point = DiamondSpec(cfg.size_L, cfg.translation_L1), NullRadialCoords(zp0, zm0)
+    else:
+        region, point = WedgeSpec(cfg.apex), SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
+    return sample_trajectory(point, cfg.t_min, cfg.t_max, cfg.n_t, region)
+
+
 _TRAJ_COLS = ("t", "z_plus", "z_minus", "x0", "x1", "T", "a")
 
 
 def cmd_traj(cfg: RunConfig) -> str:
-    t_values = np.linspace(cfg.t_min, cfg.t_max, cfg.n_t)
-    zp0, zm0 = cfg.starts[0]
-    if cfg.region == "diamond":
-        d = DiamondSpec(cfg.size_L, cfg.translation_L1)
-        z0 = NullRadialCoords(zp0, zm0)
-        # a is an orbit constant, and T is read from the rapidities: from
-        # the rounded u(t) it would lose its digits as the orbit nears a face.
-        accel = acceleration_at(z0, d)
-        up0, um0, _ = require_interior_null(z0, d)
-        z_plus, z_minus, x0, x1 = global_null(
-            *diamond_orbit(up0, um0, d.size_L, t_values), d.translation_L1)
-        temps = orbit_temperature(up0, um0, d.size_L, t_values)
-    else:
-        w = WedgeSpec(cfg.apex)
-        start = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-        points = [wedge_flow(start, float(t), w) for t in t_values]
-        x0 = np.array([p.x0 for p in points])
-        x1 = np.array([p.x1 for p in points])
-        z_plus, z_minus = x0 + x1, x0 - x1
-        # The acceleration is constant along the boost orbit.  Taken at the
-        # start (which wedge_flow has validated) it avoids the cancellation
-        # in (x1 - apex)^2 - x0^2 at large |t|; two square roots keep the
-        # product in range.
-        rel = start.x1 - cfg.apex
-        accel = 1.0 / (math.sqrt(rel - start.x0) * math.sqrt(rel + start.x0))
-        temps = np.full_like(t_values, wedge_temperature(accel))
-    return _emit(_TRAJ_COLS, (t_values, z_plus, z_minus, x0, x1, temps,
-                              np.full_like(t_values, accel)), cfg.fmt)
+    tr = _orbit(cfg, cfg.starts[0])
+    return _emit(_TRAJ_COLS, (tr.t_values, tr.z_plus, tr.z_minus, tr.x0, tr.x1,
+                              tr.temperature(), tr.acceleration()), cfg.fmt)
 
 
 _FIELD_COLS = ("z_plus", "z_minus", "beta_plus", "beta_minus", "T", "a", "ratio")
@@ -308,8 +286,7 @@ def cmd_limits(cfg: RunConfig) -> str:
         fields = {"true_cells": true_cells, "cells": cfg.grid_n}
         return _emit(_REGIME_COLS, (rm.r_values, rm.ratio, rm.max_rel_dev, rm.within_tol),
                      cfg.fmt, footer, fields)
-    zp0, zm0 = cfg.starts[0]
-    rep = deviation_scan(cfg.mode, NullRadialCoords(zp0, zm0), d,
+    rep = deviation_scan(cfg.mode, NullRadialCoords(*cfg.starts[0]), d,
                          cfg.t_min, cfg.t_max, cfg.n_t)
     # The maxima of the abs_dev and rel_dev columns, which _emit checks
     # for finiteness.
@@ -321,29 +298,18 @@ def cmd_limits(cfg: RunConfig) -> str:
 
 
 def cmd_plot(cfg: RunConfig) -> str:
-    t_values = np.linspace(cfg.t_min, cfg.t_max, cfg.n_t)
-    orbits = []
+    orbits = [_orbit(cfg, start) for start in cfg.starts]
+    lines = [(tr.x1, tr.x0) for tr in orbits]
     if cfg.region == "diamond":
-        d = DiamondSpec(cfg.size_L, cfg.translation_L1)
         L, L1 = cfg.size_L, cfg.translation_L1
         outline = ([L1, L1 + L, L1, L1 - L], [L, 0.0, -L, 0.0])
-        for zp0, zm0 in cfg.starts:
-            up0, um0, _ = require_interior_null(NullRadialCoords(zp0, zm0), d)
-            _, _, x0, x1 = global_null(*diamond_orbit(up0, um0, L, t_values), L1)
-            orbits.append((x1, x0))
-        shade = _shade_cells(d, cfg.grid_n) if cfg.shade else None
-        return render_figure(outline, True, orbits, cfg.hyperbola_w, shade)
-    w = WedgeSpec(cfg.apex)
+        shade = _shade_cells(DiamondSpec(L, L1), cfg.grid_n) if cfg.shade else None
+        return render_figure(outline, True, lines, cfg.hyperbola_w, shade)
     reach = 1.0
-    for zp0, zm0 in cfg.starts:
-        start = SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-        points = [wedge_flow(start, float(t), w) for t in t_values]
-        x0 = np.array([p.x0 for p in points])
-        x1 = np.array([p.x1 for p in points])
-        orbits.append((x1, x0))
-        reach = max(reach, float(np.abs(x0).max()), float((x1 - cfg.apex).max()))
+    for tr in orbits:
+        reach = max(reach, float(np.abs(tr.x0).max()), float((tr.x1 - cfg.apex).max()))
     outline = ([cfg.apex + reach, cfg.apex, cfg.apex + reach], [reach, 0.0, -reach])
-    return render_figure(outline, False, orbits, cfg.hyperbola_w)
+    return render_figure(outline, False, lines, cfg.hyperbola_w)
 
 
 def _shade_cells(d: DiamondSpec, n: int):

@@ -38,7 +38,7 @@ from .geometry import (
     null_from_centered,
     require_interior_null,
 )
-from .thermo import _beta_norm, beta_field
+from .thermo import _beta_norm, _beta_vector, acceleration_at, wedge_temperature
 
 __all__ = [
     "Trajectory",
@@ -53,36 +53,44 @@ __all__ = [
 
 RegionSpec = WedgeSpec | DiamondSpec
 
-_MEMBERSHIP_SLACK = 1e-12
 
-
-def _inside_with_slack(p: SpacetimePoint, region: RegionSpec) -> bool:
-    if isinstance(region, WedgeSpec):
-        rel = p.x1 - region.apex_x1
-        return rel > abs(p.x0) - _MEMBERSHIP_SLACK * max(1.0, abs(p.x0))
-    r = math.sqrt((p.x1 - region.translation_L1) ** 2 + p.x2 * p.x2 + p.x3 * p.x3)
-    return abs(p.x0) + r < region.size_L * (1.0 + _MEMBERSHIP_SLACK)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled flow orbit: strictly increasing parameters, in-region points."""
+    """Flow orbit sampled on a strictly increasing t grid, as float64 columns.
+
+    `start` is the start as given: a SpacetimePoint in a wedge, a
+    NullRadialCoords in a diamond.  The global null columns are
+    z_pm = x0 +- r in a diamond and x0 +- x1 in a wedge.
+    """
 
     region: RegionSpec
-    t_values: tuple[float, ...]
-    points: tuple[SpacetimePoint, ...]
-    start: SpacetimePoint
+    start: SpacetimePoint | NullRadialCoords
+    t_values: np.ndarray
+    z_plus: np.ndarray
+    z_minus: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray
 
-    def __post_init__(self):
-        if len(self.t_values) != len(self.points):
-            raise ValueError("t_values and points must have equal length")
-        ts = self.t_values
-        for i in range(1, len(ts)):
-            if not ts[i] > ts[i - 1]:
-                raise ValueError("t_values must be strictly increasing")
-        for p in self.points:
-            if not _inside_with_slack(p, self.region):
-                raise ValueError(f"trajectory point {p} lies outside the region")
+    def temperature(self) -> np.ndarray:
+        """T at each sample; in a diamond read from the rapidities, not the rounded u(t)."""
+        if isinstance(self.region, WedgeSpec):
+            return np.full_like(self.t_values, wedge_temperature(self._acceleration()))
+        up, um, _ = require_interior_null(self.start, self.region)
+        return _kernels.orbit_temperature(up, um, self.region.size_L, self.t_values)
+
+    def acceleration(self) -> np.ndarray:
+        """Proper acceleration at each sample, constant along the orbit."""
+        return np.full_like(self.t_values, self._acceleration())
+
+    def _acceleration(self) -> float:
+        if isinstance(self.region, DiamondSpec):
+            return acceleration_at(self.start, self.region)
+        # 1/sqrt((x1 - apex)^2 - x0^2) at the start avoids the cancellation
+        # at large |t|; two square roots keep the product in range.
+        rel = self.start.x1 - self.region.apex_x1
+        return 1.0 / (math.sqrt(rel - self.start.x0) * math.sqrt(rel + self.start.x0))
 
 
 def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
@@ -118,10 +126,8 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
     if not isinstance(point, NullRadialCoords):
         raise TypeError("diamond generator expects NullRadialCoords")
-    _, _, axis = require_interior_null(point, spec)
-    beta_p, beta_m = beta_field(point, spec)
-    bt = 0.5 * (beta_p + beta_m)
-    bs = 0.5 * (beta_p - beta_m)
+    require_interior_null(point, spec)
+    bt, bs, axis = _beta_vector(point, spec)
     return SpacetimePoint(bt, bs * axis[0], bs * axis[1], bs * axis[2])
 
 
@@ -166,21 +172,31 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
     if not t_min < t_max:
         raise OutOfRange(f"need t_min < t_max, got [{t_min}, {t_max}]")
     ts = np.linspace(t_min, t_max, n)
+    if not (np.diff(ts) > 0.0).all():
+        raise OutOfRange(f"{n} samples in [{t_min}, {t_max}] are not strictly increasing")
     if isinstance(spec, WedgeSpec):
         if not in_wedge(start, spec):
             raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
-        x0s, rels = _kernels.wedge_orbit(start.x0, start.x1 - spec.apex_x1, ts)
-        points = tuple(
-            SpacetimePoint(x0s[i], spec.apex_x1 + rels[i], start.x2, start.x3)
-            for i in range(n)
-        )
-        return Trajectory(spec, tuple(float(v) for v in ts), points, start)
-    up, um, axis = require_interior_null(start, spec)
-    ups, ums = _kernels.diamond_orbit(up, um, spec.size_L, ts)
-    points = tuple(
-        from_null(null_from_centered(ups[i], ums[i], axis, spec)) for i in range(n)
-    )
-    return Trajectory(spec, tuple(float(v) for v in ts), points, from_null(start))
+        # wedge_flow's math.cosh and math.sinh and its order of operations:
+        # np.cosh differs from math.cosh in the last bit on some arguments.
+        try:
+            ch = np.array([math.cosh(t) for t in ts.tolist()])
+            sh = np.array([math.sinh(t) for t in ts.tolist()])
+        except OverflowError as exc:
+            raise OutOfRange("the boost leaves the range of float64") from exc
+        rel = start.x1 - spec.apex_x1
+        x0 = start.x0 * ch + rel * sh
+        x1 = spec.apex_x1 + rel * ch + start.x0 * sh
+        cols = (x0 + x1, x0 - x1, x0, x1, np.full_like(ts, start.x2), np.full_like(ts, start.x3))
+    else:
+        up, um, axis = require_interior_null(start, spec)
+        z_plus, z_minus, x0, x1 = _kernels.global_null(
+            *_kernels.diamond_orbit(up, um, spec.size_L, ts), spec.translation_L1)
+        r = np.abs(x1)
+        cols = (z_plus, z_minus, x0, x1 * axis[0], r * axis[1], r * axis[2])
+    if not all(np.isfinite(c).all() for c in cols):
+        raise OutOfRange("the orbit leaves the range of float64")
+    return Trajectory(spec, start, ts, *cols)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -141,14 +141,23 @@ def minkowski_square(x: SpacetimePoint) -> float:
     return x.x0 * x.x0 - x.x1 * x.x1 - x.x2 * x.x2 - x.x3 * x.x3
 
 
+def _radial(x: SpacetimePoint, center_x1: float) -> tuple[float, tuple[float, float, float]]:
+    # Euclidean radius about (0, center_x1, 0, 0) and its unit direction,
+    # free of overflow and underflow: hypot for the radius, and the vector
+    # scaled by its largest component before it is normalised.
+    v = (x.x1 - center_x1, x.x2, x.x3)
+    r = math.hypot(*v)
+    if r == 0.0:
+        return 0.0, (1.0, 0.0, 0.0)
+    big = max(abs(c) for c in v)
+    v = tuple(c / big for c in v)
+    n = math.hypot(*v)
+    return r, tuple(c / n for c in v)
+
+
 def to_null(x: SpacetimePoint, center_x1: float = 0.0) -> NullRadialCoords:
     """Null-radial coordinates of x about (0, center_x1, 0, 0)."""
-    dx1 = x.x1 - center_x1
-    r = math.sqrt(dx1 * dx1 + x.x2 * x.x2 + x.x3 * x.x3)
-    if r > 0.0:
-        direction = (dx1 / r, x.x2 / r, x.x3 / r)
-    else:
-        direction = (1.0, 0.0, 0.0)
+    r, direction = _radial(x, center_x1)
     return NullRadialCoords(x.x0 + r, x.x0 - r, direction)
 
 
@@ -166,8 +175,7 @@ def in_wedge(x: SpacetimePoint, w: WedgeSpec) -> bool:
 
 def in_diamond(x: SpacetimePoint, d: DiamondSpec) -> bool:
     """Strict membership in the open diamond |x0| + r < L, r measured from the center."""
-    dx1 = x.x1 - d.translation_L1
-    r = math.sqrt(dx1 * dx1 + x.x2 * x.x2 + x.x3 * x.x3)
+    r, _ = _radial(x, d.translation_L1)
     return abs(x.x0) + r < d.size_L
 
 

@@ -17,7 +17,6 @@ description holds to a given relative tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +32,19 @@ from .geometry import (
 __all__ = [
     "DeviationReport",
     "RegimeMap",
-    "minkowski_limit_traj",
-    "wedge_limit_traj",
     "deviation_scan",
     "regime_map",
 ]
 
 MODES = ("minkowski", "wedge")
 
-# Relative deviations clamp their denominator here to stay finite when a
-# null component passes through zero.
+# Relative deviations clamp their denominator at this fraction of L to
+# stay finite when a null component passes through zero.
 _REL_FLOOR = 1e-12
 
 _SYMMETRY_TOL = 1e-12
+
+_REGIME_N_T = 33
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,29 +78,11 @@ class RegimeMap:
 
 
 def _symmetric_radius(z0: NullRadialCoords) -> float:
-    scale = max(1.0, abs(z0.z_plus), abs(z0.z_minus))
-    if abs(z0.z_plus + z0.z_minus) > _SYMMETRY_TOL * scale:
+    if abs(z0.z_plus + z0.z_minus) > _SYMMETRY_TOL * max(abs(z0.z_plus), abs(z0.z_minus)):
         raise OutOfRange(
             f"start must be of the form (r, -r), got ({z0.z_plus!r}, {z0.z_minus!r})"
         )
     return z0.radius
-
-
-def minkowski_limit_traj(z0: NullRadialCoords, t: float, L: float) -> tuple[float, float]:
-    """Inertial small-t form (L t / 2 + r, L t / 2 - r) of the centered orbit."""
-    if not L > 0.0:
-        raise OutOfRange(f"L must be positive, got {L!r}")
-    r = _symmetric_radius(z0)
-    if not r < L:
-        raise OutOfRange(f"start radius {r!r} must be below L={L!r}")
-    return 0.5 * L * t + r, 0.5 * L * t - r
-
-
-def wedge_limit_traj(r: float, t: float) -> tuple[float, float]:
-    """Boost form (r e^t, -r e^-t) of a near-corner orbit."""
-    if not r > 0.0:
-        raise OutOfRange(f"r must be positive, got {r!r}")
-    return r * math.exp(t), -r * math.exp(-t)
 
 
 def _check_mode_spec(mode: str, d: DiamondSpec) -> None:
@@ -113,11 +94,22 @@ def _check_mode_spec(mode: str, d: DiamondSpec) -> None:
         raise SpecMismatch("wedge mode needs a corner-anchored diamond (L1 = L)")
 
 
-def _deviations(exact: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scan(mode: str, d: DiamondSpec, u_plus, u_minus, r, ts: np.ndarray):
+    # Exact orbits of the centered starts against the mode's limit form for
+    # radius r; starts and r broadcast against ts as in diamond_orbit.  exact
+    # and limit hold (z_plus, z_minus) on a last axis, which the deviations reduce.
+    L = d.size_L
+    ups, ums = _kernels.diamond_orbit(u_plus, u_minus, L, ts)
+    shift = d.translation_L1
+    exact = np.stack([ups + shift, ums - shift], axis=-1)
+    if mode == "minkowski":
+        lp, lm = 0.5 * L * ts + r, 0.5 * L * ts - r
+    else:
+        lp, lm = r * np.exp(ts), -r * np.exp(-ts)
+    limit = np.stack([lp, lm], axis=-1)
     diff = np.abs(exact - limit)
-    abs_dev = diff.max(axis=-1)
-    rel = diff / np.maximum(np.abs(exact), _REL_FLOOR)
-    return abs_dev, rel.max(axis=-1)
+    rel = diff / np.maximum(np.abs(exact), _REL_FLOOR * L)
+    return exact, limit, diff.max(axis=-1), rel.max(axis=-1)
 
 
 def deviation_scan(mode: str, z0: NullRadialCoords, d: DiamondSpec,
@@ -136,37 +128,21 @@ def deviation_scan(mode: str, z0: NullRadialCoords, d: DiamondSpec,
     up, um, _ = require_interior_null(z0, d)
 
     ts = np.linspace(t_min, t_max, n)
-    ups, ums = _kernels.diamond_orbit(up, um, d.size_L, ts)
-    shift = d.translation_L1
-    exact = np.stack([ups + shift, ums - shift], axis=-1)
-    if mode == "minkowski":
-        lp, lm = 0.5 * d.size_L * ts + r, 0.5 * d.size_L * ts - r
-    else:
-        lp, lm = r * np.exp(ts), -r * np.exp(-ts)
-    limit = np.stack([lp, lm], axis=-1)
-    abs_dev, rel_dev = _deviations(exact, limit)
-    return DeviationReport(
-        mode=mode,
-        spec=d,
-        start=z0,
-        t_values=ts,
-        exact=exact,
-        limit=limit,
-        abs_dev=abs_dev,
-        rel_dev=rel_dev,
-        max_abs_dev=float(abs_dev.max()),
-        max_rel_dev=float(rel_dev.max()),
-    )
+    exact, limit, abs_dev, rel_dev = _scan(mode, d, up, um, r, ts)
+    return DeviationReport(mode=mode, spec=d, start=z0, t_values=ts, exact=exact, limit=limit,
+                           abs_dev=abs_dev, rel_dev=rel_dev, max_abs_dev=float(abs_dev.max()),
+                           max_rel_dev=float(rel_dev.max()))
 
 
 def regime_map(mode: str, d: DiamondSpec, t_probe: float, tol: float,
-               grid_n: int, n_t: int = 33) -> RegimeMap:
+               grid_n: int) -> RegimeMap:
     """Classify starts by whether the limit form holds up to t_probe.
 
     Starts are parameterized by their centered radius r, log-spaced in
     the distance L - r to the agreement corner down to 1e-6 L, so the
     interesting near-corner band is resolved.  A cell is within
-    tolerance when its scan's max relative deviation is <= tol.
+    tolerance when its scan's max relative deviation over 33 uniform
+    parameters in [0, t_probe] is <= tol.
     """
     _check_mode_spec(mode, d)
     if not t_probe > 0.0:
@@ -179,31 +155,15 @@ def regime_map(mode: str, d: DiamondSpec, t_probe: float, tol: float,
     exponents = np.linspace(0.0, -6.0, grid_n + 2)[1:-1]
     deltas = L * 10.0 ** exponents
     r_centered = L - deltas
-    ts = np.linspace(0.0, t_probe, n_t)
+    ts = np.linspace(0.0, t_probe, _REGIME_N_T)
+    r = r_centered[:, None]
+    # The inertial form starts at (r, -r) about the center; the boost form
+    # at (-r, r) about the center, which is (delta, -delta) about the corner.
     if mode == "minkowski":
-        u0p, u0m = r_centered, -r_centered
-        shift = 0.0
+        *_, rel_dev = _scan(mode, d, r, -r, r, ts)
     else:
-        u0p, u0m = -r_centered, r_centered
-        shift = d.translation_L1
-    ups, ums = _kernels.diamond_orbit(u0p[:, None], u0m[:, None], L, ts)
-    exact = np.stack([ups + shift, ums - shift], axis=-1)
-    if mode == "minkowski":
-        lp = 0.5 * L * ts[None, :] + r_centered[:, None]
-        lm = 0.5 * L * ts[None, :] - r_centered[:, None]
-    else:
-        lp = deltas[:, None] * np.exp(ts)[None, :]
-        lm = -deltas[:, None] * np.exp(-ts)[None, :]
-    limit = np.stack([lp, lm], axis=-1)
-    _, rel_dev = _deviations(exact, limit)
+        *_, rel_dev = _scan(mode, d, -r, r, deltas[:, None], ts)
     max_rel = rel_dev.max(axis=1)
-    return RegimeMap(
-        mode=mode,
-        spec=d,
-        t_probe=float(t_probe),
-        tol=float(tol),
-        r_values=r_centered,
-        ratio=r_centered / L,
-        max_rel_dev=max_rel,
-        within_tol=max_rel <= tol,
-    )
+    return RegimeMap(mode=mode, spec=d, t_probe=float(t_probe), tol=float(tol),
+                     r_values=r_centered, ratio=r_centered / L, max_rel_dev=max_rel,
+                     within_tol=max_rel <= tol)

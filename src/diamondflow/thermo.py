@@ -84,15 +84,25 @@ def _closure_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tu
     return up, um, axis
 
 
+def _beta_pair(up: float, um: float, L: float) -> tuple[float, float]:
+    vp, vm = up / L, um / L
+    return 0.5 * L * ((1.0 - vp) * (1.0 + vp)), 0.5 * L * ((1.0 - vm) * (1.0 + vm))
+
+
 def beta_field(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float]:
     """Null components beta_pm = (L/2)(1 - v_pm)(1 + v_pm) of the flow tangent, v = u/L.
 
     Defined on the closed diamond; vanishes on the corresponding null face.
     """
     up, um, _ = _closure_pair(z, d)
-    L = d.size_L
-    vp, vm = up / L, um / L
-    return 0.5 * L * ((1.0 - vp) * (1.0 + vp)), 0.5 * L * ((1.0 - vm) * (1.0 + vm))
+    return _beta_pair(up, um, d.size_L)
+
+
+def _beta_vector(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
+    # (beta^0, beta^s, axis): the flow tangent is beta^0 e0 + beta^s axis.
+    up, um, axis = _closure_pair(z, d)
+    beta_p, beta_m = _beta_pair(up, um, d.size_L)
+    return 0.5 * (beta_p + beta_m), 0.5 * (beta_p - beta_m), axis
 
 
 def wedge_temperature(acceleration: float) -> float:
@@ -105,14 +115,15 @@ def wedge_temperature(acceleration: float) -> float:
 def diamond_temperature(z: NullRadialCoords, d: DiamondSpec) -> TemperatureSample:
     """Full thermal sample at a strictly interior diamond point."""
     up, um, _ = require_interior_null(z, d)
-    bnorm = _beta_norm(up, um, d.size_L)
+    L = d.size_L
+    bnorm = _beta_norm(up, um, L)
     temperature = 1.0 / (_TWO_PI * bnorm)
     return TemperatureSample(
         point=z,
-        beta_null=beta_field(z, d),
+        beta_null=_beta_pair(up, um, L),
         beta_norm=bnorm,
         temperature=temperature,
-        acceleration=_TWO_PI * temperature * temperature_ratio(z, d),
+        acceleration=_TWO_PI * temperature * _ratio(up, um, L),
     )
 
 
@@ -127,7 +138,11 @@ def acceleration_at(z: NullRadialCoords, d: DiamondSpec) -> float:
 def temperature_ratio(z: NullRadialCoords, d: DiamondSpec) -> float:
     """Wedge-to-diamond temperature ratio at z; equals r/L algebraically."""
     up, um, _ = require_interior_null(z, d)
-    return 0.5 * abs(up / d.size_L - um / d.size_L)
+    return _ratio(up, um, d.size_L)
+
+
+def _ratio(up: float, um: float, L: float) -> float:
+    return 0.5 * abs(up / L - um / L)
 
 
 def radius_along_flow(r0: float, t: float, L: float) -> float:
@@ -167,9 +182,6 @@ def relative_entropy(p: FourMomentum, z: NullRadialCoords, d: DiamondSpec) -> fl
     P.beta = p0 beta^0 - vec p . vec beta with the tangent beta of the
     diamond flow at z; linear in p, zero when beta vanishes.
     """
-    _, _, axis = _closure_pair(z, d)
-    beta_p, beta_m = beta_field(z, d)
-    bt = 0.5 * (beta_p + beta_m)
-    bs = 0.5 * (beta_p - beta_m)
+    bt, bs, axis = _beta_vector(z, d)
     spatial = bs * (p.p1 * axis[0] + p.p2 * axis[1] + p.p3 * axis[2])
     return _TWO_PI * (p.p0 * bt - spatial)

@@ -61,6 +61,21 @@ _SHA256_PINS = [
      "1cd8005963ef34b66f22ca90c3024175c94f9407854034ac67c897a034fdccfc"),
     ("plot --start 0.5,-0.5 --start=0.2,-0.7 --t=-8:8:20001 --hyperbola-w 0.4",
      "3936e9fc45d7be79b8ede64f70e7402affde0c5e1bd76110b75d80e4daee5084"),
+    # Recorded before traj and plot read their orbits from sample_trajectory.
+    ("traj --region wedge --apex 0.3 --start=1.7,-0.9 --t=-3:3:2001",
+     "60d1032464af375360e87b2532f585f9970dbed79bec3696b886f864bda178be"),
+    ("traj --region wedge --start=0.7,-1.3 --t=-30:30:601 --format json",
+     "0a7ec55318742c7b335c730d30d1c037a4d015827ac21dde4e333f8f8c883df8"),
+    ("plot --region wedge --apex=-0.2 --start=1,-1 --start=2.5,-0.5 --t=-2:2:4001 --hyperbola-w 1",
+     "651efa5b5b23e9ee8b0f1c15c45131bc4385c0ca42d62a428f83c8e518a253e8"),
+    ("traj --L 0.7 --L1 2.5e6 --start=2500000.4,-2500000.2 --t=-40:40:4001",
+     "282c152c70ce547d3b6096c646146dbc92c28754923c980906eeea92a2ab57f6"),
+    ("plot --L 0.7 --L1 2.5e6 --start=2500000.4,-2500000.2 --start=2500000.1,-2500000.5 "
+     "--t=-40:40:4001", "4f88f247b16be3620c896b262ca92226d7ae1593f7e34229038a7898df44bbee"),
+    ("limits --mode minkowski --L 3 --start=1.2,-1.2 --t=-8:8:4001",
+     "335a56196d5949660f1aa9d1f924b81146ab9767255e174a56e4f05c0e04d220"),
+    ("limits --mode minkowski --L 2 --grid 40 --t 0:0.5:9 --format json",
+     "015bbfd8b46e85eedfe30409e70b5ff3c801934c8dd52d1363aa736081496a96"),
 ]
 
 
@@ -221,7 +236,7 @@ def _check_limits_scan(text, L, r):
                               exact + limit):
             assert _near(row[col], value, slack=8 * 2.0 ** -52 * L), (row, col)
         dev = max(abs(e - q) for e, q in zip(exact, limit))
-        rel = max(abs(e - q) / max(abs(e), 1e-12) for e, q in zip(exact, limit))
+        rel = max(abs(e - q) / max(abs(e), 1e-12 * L) for e, q in zip(exact, limit))
         assert _near(row["abs_dev"], dev, slack=16 * 2.0 ** -52 * L)
         assert _near(row["rel_dev"], rel, rel=1e-13, slack=16 * 2.0 ** -52)
     footer = text.splitlines()[-1]
@@ -241,7 +256,7 @@ def _check_regime(text, L, t_max, grid, tol=0.01):
             for u, shift in ((r, r), (-r, -r)):
                 exact = L * mp.tanh(mp.atanh(mp.mpf(u) / L) + mp.mpf(t) / 2)
                 worst = max(worst, abs(exact - (L * mp.mpf(t) / 2 + shift))
-                            / max(abs(exact), 1e-12))
+                            / max(abs(exact), 1e-12 * L))
         assert _near(row["r"], r) and _near(row["ratio"], r / L)
         assert _near(row["max_rel_dev"], worst, rel=1e-13), (row, worst)
         assert row["within_tol"] == ("1" if worst <= tol else "0")
@@ -386,6 +401,39 @@ def test_validate_caps_output_size():
     for cfg in bad:
         with pytest.raises(ConfigError, match=str(cap)):
             _validate(cfg)
+
+
+@pytest.mark.parametrize("command", [
+    "traj --t 1:1.0000000000000002:6",
+    "traj --region wedge --t 1:1.0000000000000002:6",
+    "plot --start 0.5,-0.5 --t 1:1.0000000000000002:6",
+])
+def test_orbit_grid_not_increasing(command, capsys):
+    # One float step between the ends cannot hold six distinct samples.
+    assert main(command.split()) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("small, unit", [
+    ("--mode minkowski --L 1e-20 --grid 4 --t 0:0.5:3", "--mode minkowski --L 1 --grid 4 --t 0:0.5:3"),
+    ("--mode wedge --L 1e-13 --L1 1e-13 --grid 4 --t 0:1:3",
+     "--mode wedge --L 1 --L1 1 --grid 4 --t 0:1:3"),
+])
+def test_limits_regime_scale_free(small, unit, capsys):
+    # The relative-deviation floor is 1e-12 L, so a tiny diamond classifies
+    # its starts as the unit diamond does.
+    footers = []
+    for command in (small, unit):
+        assert main(["limits", *command.split()]) == 0
+        footers.append(capsys.readouterr().out.splitlines()[-1])
+    assert footers[0] == footers[1]
+    assert footers[0] in ("# true_cells=0 of 4", "# true_cells=3 of 4")
+
+
+def test_limits_asymmetric_start_scale_free(capsys):
+    for L, start in (("1e-12", "5e-13,0"), ("1", "0.5,0")):
+        assert main(["limits", "--mode", "minkowski", "--L", L, f"--start={start}",
+                     "--t", "0:1:3"]) == 3
 
 
 def test_traj_wedge_boost_row(tmp_path):

@@ -295,45 +295,110 @@ def test_rk4_validates_steps():
 
 # ------------------------------------------------------------------ trajectory
 
-def test_trajectory_type_invariants():
-    with pytest.raises(ValueError):
-        Trajectory(UNIT, (0.0, 0.0), (SpacetimePoint(0, 0), SpacetimePoint(0, 0)),
-                   SpacetimePoint(0, 0))
-    with pytest.raises(ValueError):
-        Trajectory(UNIT, (0.0,), (SpacetimePoint(0, 0), SpacetimePoint(0, 0)),
-                   SpacetimePoint(0, 0))
-    with pytest.raises(ValueError):
-        Trajectory(UNIT, (0.0, 1.0), (SpacetimePoint(0, 0), SpacetimePoint(0, 5)),
-                   SpacetimePoint(0, 0))
-
-
 def test_sample_trajectory_endpoints_only():
     traj = sample_trajectory(NullRadialCoords(0.0, 0.0), -1.0, 1.0, 2, UNIT)
-    assert traj.t_values == (-1.0, 1.0)
-    assert len(traj.points) == 2
+    assert isinstance(traj, Trajectory)
+    assert traj.t_values.tolist() == [-1.0, 1.0]
+    for col in (traj.z_plus, traj.z_minus, traj.x0, traj.x1, traj.x2, traj.x3,
+                traj.temperature(), traj.acceleration()):
+        assert col.dtype == np.float64 and col.shape == (2,)
 
 
 def test_sample_trajectory_center_samples():
     traj = sample_trajectory(NullRadialCoords(0.0, 0.0), -3.0, 3.0, 7, UNIT)
-    assert len(traj.points) == 7
-    for t, p in zip(traj.t_values, traj.points):
-        want = math.tanh(0.5 * t)
-        assert abs(p.x0 - want) < 1e-14
-        assert abs(p.x1) < 1e-14
-        assert in_diamond(p, DiamondSpec(1.0 + 1e-12, 0.0))
+    assert len(traj.t_values) == 7
+    np.testing.assert_allclose(traj.x0, np.tanh(0.5 * traj.t_values), rtol=0, atol=1e-14)
+    assert (np.abs(traj.x1) < 1e-14).all()
+    assert not traj.x2.any() and not traj.x3.any()
+    np.testing.assert_array_equal(traj.z_plus, traj.z_minus)
+    assert (np.abs(traj.x0) + np.abs(traj.x1) < 1.0 + 1e-12).all()
+    # T = cosh^2(t/2)/pi and a = 0 on the geodesic through the center
+    np.testing.assert_allclose(traj.temperature(), np.cosh(0.5 * traj.t_values) ** 2 / math.pi,
+                               rtol=1e-15)
+    assert not traj.acceleration().any()
 
 
 def test_sample_trajectory_wedge():
     traj = sample_trajectory(SpacetimePoint(0, 1), 0.0, 1.0, 3, WEDGE)
-    assert abs(traj.points[-1].x0 - math.sinh(1)) < 1e-12
-    assert abs(traj.points[-1].x1 - math.cosh(1)) < 1e-12
+    assert abs(traj.x0[-1] - math.sinh(1)) < 1e-12
+    assert abs(traj.x1[-1] - math.cosh(1)) < 1e-12
+    assert abs(traj.z_plus[-1] - math.e) < 1e-12
+    assert abs(traj.z_minus[-1] + 1.0 / math.e) < 1e-12
+    np.testing.assert_array_equal(traj.acceleration(), 1.0)
+    np.testing.assert_array_equal(traj.temperature(), 1.0 / (2.0 * math.pi))
+    # The columns keep wedge_flow's arithmetic, bit for bit.
+    w = WedgeSpec(-0.4)
+    start = SpacetimePoint(0.3, 0.9, 0.2, -0.1)
+    traj = sample_trajectory(start, -30.0, 30.0, 601, w)
+    for k, t in enumerate(traj.t_values):
+        q = wedge_flow(start, float(t), w)
+        assert (traj.x0[k], traj.x1[k], traj.x2[k], traj.x3[k]) == (q.x0, q.x1, q.x2, q.x3)
 
 
 def test_sample_trajectory_validation():
+    z = NullRadialCoords(0.0, 0.0)
     with pytest.raises(OutOfRange):
-        sample_trajectory(NullRadialCoords(0.0, 0.0), 0.0, 1.0, 1, UNIT)
+        sample_trajectory(z, 0.0, 1.0, 1, UNIT)
     with pytest.raises(OutOfRange):
-        sample_trajectory(NullRadialCoords(0.0, 0.0), 1.0, 1.0, 5, UNIT)
+        sample_trajectory(z, 1.0, 1.0, 5, UNIT)
+    with pytest.raises(OutOfRange):
+        sample_trajectory(z, 1.0, 0.0, 5, UNIT)
+    # one float step between the ends cannot hold six increasing samples
+    with pytest.raises(OutOfRange):
+        sample_trajectory(z, 1.0, math.nextafter(1.0, 2.0), 6, UNIT)
+    sample_trajectory(z, 1.0, math.nextafter(1.0, 2.0), 2, UNIT)
+    with pytest.raises(OutOfRegion):
+        sample_trajectory(NullRadialCoords(1.0, -1.0), 0.0, 1.0, 5, UNIT)
+    with pytest.raises(OutOfRegion):
+        sample_trajectory(SpacetimePoint(1.0, 1.0), 0.0, 1.0, 5, WEDGE)
+    # the boost leaves the float range; no inf reaches the columns
+    with pytest.raises(OutOfRange), np.errstate(all="ignore"):
+        sample_trajectory(SpacetimePoint(0.0, 1e300), 0.0, 100.0, 5, WEDGE)
+    with pytest.raises(OutOfRange):
+        sample_trajectory(SpacetimePoint(0.0, 1.0), 0.0, 800.0, 3, WEDGE)
+
+
+def test_sample_trajectory_far_translated():
+    # 2.5e6 L from the origin the global coordinates round at 5e-10 L, and
+    # the orbit ends on the corners; it is built all the same, with the
+    # columns of the scalar path.
+    d = DiamondSpec(0.7, 2.5e6)
+    z = NullRadialCoords(2500000.4, -2500000.2)
+    traj = sample_trajectory(z, -40.0, 40.0, 3, d)
+    np.testing.assert_allclose([traj.z_plus[1], traj.z_minus[1]], [z.z_plus, z.z_minus],
+                               rtol=0, atol=1e-9)
+    # t = -40 and 40 put the orbit on the bottom and top corners
+    np.testing.assert_allclose(traj.x0, [-0.7, 0.1, 0.7], rtol=0, atol=1e-9)
+    assert traj.x1[0] == traj.x1[2] == 2.5e6
+    rng = np.random.default_rng(29)
+    for L, L1 in ((0.7, 2.5e6), (1e-3, -40.0), (3.0, 1e9)):
+        d = DiamondSpec(L, L1)
+        slack = L * 1e-12 + 4 * abs(np.spacing(L1))
+        for z in interior_points(rng, 200, d, cap=1.0 - 1e-9):
+            traj = sample_trajectory(z, -40.0, 40.0, 9, d)
+            assert (np.abs(traj.x0) + np.abs(traj.x1 - L1) <= L + slack).all()
+
+
+@pytest.mark.parametrize("L, t_max", [(1e-100, 450.0), (1.0, 700.0), (1e100, 700.0)])
+def test_trajectory_temperature_matches_mpmath(L, t_max):
+    # T = cosh rho+ cosh rho- / (pi L) is read from the rapidities, so it
+    # holds where the rounded u(t) sits on a face and
+    # diamond_temperature(diamond_flow(z, t, d), d) raises (t >~ 23).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    d = DiamondSpec(L)
+    for start in ((0.3, -0.5), (0.9, 0.9), (-0.2, -0.99)):
+        z = NullRadialCoords(start[0] * L, start[1] * L)
+        traj = sample_trajectory(z, -t_max, t_max, 121, d)
+        rho = [mpmath.atanh(mpmath.mpf(u) / L) for u in (z.z_plus, z.z_minus)]
+        for t, T in zip(traj.t_values, traj.temperature()):
+            want = (mpmath.cosh(rho[0] + mpmath.mpf(t) / 2)
+                    * mpmath.cosh(rho[1] + mpmath.mpf(t) / 2) / (mpmath.pi * L))
+            # Each rapidity carries the rounding of u/L, amplified by
+            # 1/(1 - v^2), and those of atanh and of the sum rho + t/2.
+            drho = sum(1 / (1 - v * v) + 2 * abs(float(r)) + abs(t) / 2
+                       for v, r in zip(start, rho))
+            assert abs(T - want) <= 2.0 ** -52 * (drho + 4) * want, (start, t)
 
 
 # -------------------------------------------------------- proper acceleration

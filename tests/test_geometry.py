@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diamondflow.errors import LightlikeInput, OutOfRange, OutOfRegion
 from diamondflow.geometry import (
@@ -73,6 +73,9 @@ def test_origin_direction_convention():
 
 
 @given(finite, finite, finite, finite, st.floats(min_value=-5, max_value=5))
+# (dx1)^2 is subnormal here, so sqrt of the sum of squares gave a radius
+# that left the direction off unit norm by 1e-10.
+@example(x0=0.0, x1=0.0, x2=0.0, x3=0.0, center=9.018449151484447e-158)
 def test_null_round_trip(x0, x1, x2, x3, center):
     p = SpacetimePoint(x0, x1, x2, x3)
     q = from_null(to_null(p, center), center)
@@ -81,6 +84,18 @@ def test_null_round_trip(x0, x1, x2, x3, center):
     assert abs(q.x1 - p.x1) <= 1e-12 * scale
     assert abs(q.x2 - p.x2) <= 1e-12 * scale
     assert abs(q.x3 - p.x3) <= 1e-12 * scale
+
+
+def test_radius_free_of_overflow_and_underflow():
+    assert in_diamond(SpacetimePoint(0, 1e200), DiamondSpec(1e300))
+    z = to_null(SpacetimePoint(0, 1e200))
+    assert (z.z_plus, z.z_minus, z.direction) == (1e200, -1e200, (1.0, 0.0, 0.0))
+    z = to_null(SpacetimePoint(0, 3e-200, 4e-200))
+    assert z.radius == 5e-200
+    assert z.direction == pytest.approx((0.6, 0.8, 0.0), rel=1e-15)
+    z = to_null(SpacetimePoint(0, 0, 5e-324, 5e-324), 0.0)
+    assert z.radius == 5e-324
+    assert z.direction == pytest.approx((0.0, math.sqrt(0.5), math.sqrt(0.5)), rel=1e-15)
 
 
 def test_wedge_membership():

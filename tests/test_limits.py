@@ -6,61 +6,46 @@ import pytest
 from diamondflow.errors import OutOfRange, OutOfRegion, SpecMismatch
 from diamondflow.flow import diamond_flow
 from diamondflow.geometry import DiamondSpec, NullRadialCoords, from_null
-from diamondflow.limits import (
-    deviation_scan,
-    minkowski_limit_traj,
-    regime_map,
-    wedge_limit_traj,
-)
+from diamondflow.limits import deviation_scan, regime_map
 from diamondflow.thermo import agreement_window, temperature_ratio
 
 UNIT = DiamondSpec(1.0, 0.0)
 CORNER = DiamondSpec(1.0, 1.0)
 
 
-# ----------------------------------------------------------------- limit forms
+# -------------------------------------------------- limit forms of the scans
 
 def test_minkowski_limit_basics():
-    z = NullRadialCoords(0.25, -0.25)
-    assert minkowski_limit_traj(z, 0.0, 1.0) == (0.25, -0.25)
-    zp, zm = minkowski_limit_traj(NullRadialCoords(1.0, -1.0), 1e-4, 1e3)
+    # The inertial form (L t/2 + r, L t/2 - r) of deviation_scan.
+    rep = deviation_scan("minkowski", NullRadialCoords(0.25, -0.25), UNIT, 0.0, 0.0, 1)
+    assert tuple(rep.limit[0]) == (0.25, -0.25)
+    rep = deviation_scan("minkowski", NullRadialCoords(1.0, -1.0), DiamondSpec(1e3), 1e-4, 1e-4, 1)
+    zp, zm = rep.limit[0]
     assert abs(zp - 1.05) < 1e-12
     assert abs(zm + 0.95) < 1e-12
 
 
 def test_minkowski_limit_rigid_translation():
-    z = NullRadialCoords(0.4, -0.4)
-    for t in (0.0, 0.3, 1.0):
-        zp, zm = minkowski_limit_traj(z, t, 1.0)
-        assert abs((zp - zm) - 0.8) < 1e-15
-
-
-def test_minkowski_limit_validation():
-    with pytest.raises(OutOfRange):
-        minkowski_limit_traj(NullRadialCoords(0.5, -0.2), 0.0, 1.0)
-    with pytest.raises(OutOfRange):
-        minkowski_limit_traj(NullRadialCoords(2.0, -2.0), 0.0, 1.0)
+    # z+ - z- = 2r at every t
+    rep = deviation_scan("minkowski", NullRadialCoords(0.4, -0.4), UNIT, 0.0, 1.0, 11)
+    np.testing.assert_allclose(rep.limit[:, 0] - rep.limit[:, 1], 0.8, rtol=0, atol=1e-15)
 
 
 def test_wedge_limit_basics():
-    assert wedge_limit_traj(0.3, 0.0) == (0.3, -0.3)
-    zp, zm = wedge_limit_traj(0.01, 1.0)
+    # The boost form (r e^t, -r e^-t) of deviation_scan.
+    rep = deviation_scan("wedge", NullRadialCoords(0.3, -0.3), CORNER, 0.0, 0.0, 1)
+    assert tuple(rep.limit[0]) == (0.3, -0.3)
+    rep = deviation_scan("wedge", NullRadialCoords(0.01, -0.01), CORNER, 1.0, 1.0, 1)
+    zp, zm = rep.limit[0]
     assert abs(zp - 0.0271828) < 1e-6
     assert abs(zm + 0.0036788) < 1e-6
 
 
 def test_wedge_limit_product_invariant():
+    # -z+ z- = r^2 at every t
     r = 0.05
-    for t in np.linspace(-2, 2, 9):
-        zp, zm = wedge_limit_traj(r, t)
-        assert abs(-zp * zm - r * r) < 1e-15
-
-
-def test_wedge_limit_validation():
-    with pytest.raises(OutOfRange):
-        wedge_limit_traj(0.0, 1.0)
-    with pytest.raises(OutOfRange):
-        wedge_limit_traj(-0.5, 1.0)
+    rep = deviation_scan("wedge", NullRadialCoords(r, -r), CORNER, -2.0, 2.0, 9)
+    np.testing.assert_allclose(-rep.limit[:, 0] * rep.limit[:, 1], r * r, rtol=0, atol=1e-15)
 
 
 # -------------------------------------------------------------- deviation scan
@@ -133,7 +118,12 @@ def test_scan_start_validation():
     with pytest.raises(OutOfRange):
         deviation_scan("minkowski", NullRadialCoords(0.5, -0.5), UNIT, 0, 1, 0)
     with pytest.raises(OutOfRange):
+        deviation_scan("minkowski", NullRadialCoords(2.0, -2.0), UNIT, 0, 1, 5)
+    with pytest.raises(OutOfRange):
         deviation_scan("wedge", NullRadialCoords(0.0, 0.0), CORNER, 0, 1, 5)
+    # a negative radius cannot be written as a start
+    with pytest.raises(OutOfRange):
+        NullRadialCoords(-0.5, 0.5)
 
 
 # ------------------------------------------------------------- wedge hyperbola
@@ -225,9 +215,47 @@ def test_regime_map_validation():
 
 
 def test_regime_map_matches_scan():
-    rm = regime_map("wedge", CORNER, 1.0, 0.01, 6, n_t=21)
+    rm = regime_map("wedge", CORNER, 1.0, 0.01, 6)
     for r, max_dev in zip(rm.r_values, rm.max_rel_dev):
         g = 1.0 - r
-        rep = deviation_scan("wedge", NullRadialCoords(g, -g), CORNER, 0.0, 1.0, 21)
+        rep = deviation_scan("wedge", NullRadialCoords(g, -g), CORNER, 0.0, 1.0, 33)
         # g = 1 - r only recovers the grid offset to ~1e-12 relative
         assert abs(rep.max_rel_dev - max_dev) < 1e-6 * max_dev + 1e-15
+
+
+# ------------------------------------------------------------ scale covariance
+
+# (mode, L, L1, r, t_max): scans run over [-t_max, t_max], regime maps probe t_max.
+_SCALE_CASES = [
+    ("minkowski", 1.0, 0.0, 0.5, 2.0),
+    ("minkowski", 3.0, 0.0, 1.2, 8.0),
+    ("minkowski", 0.25, 0.0, 0.0, 1.0),
+    ("wedge", 1.0, 1.0, 0.25, 1.0),
+    ("wedge", 0.25, 0.25, 0.01, 3.0),
+    ("wedge", 4.0, 4.0, 3.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("k", [-900, -600, -300, -100, -40, -25, -1, 1, 25, 40, 100, 300, 600, 900])
+def test_limits_scale_covariant(k):
+    # Scaling L and r by 2^k is exact in binary, so relative deviations and
+    # the regime classification must keep every bit.
+    s = 2.0 ** k
+    for mode, L, L1, r, t_max in _SCALE_CASES:
+        d0, d = DiamondSpec(L, L1), DiamondSpec(L * s, L1 * s)
+        t_min = -t_max if mode == "minkowski" else 0.0
+        base = deviation_scan(mode, NullRadialCoords(r, -r), d0, t_min, t_max, 17)
+        scaled = deviation_scan(mode, NullRadialCoords(r * s, -r * s), d, t_min, t_max, 17)
+        np.testing.assert_array_equal(scaled.rel_dev, base.rel_dev)
+        rm0, rm = regime_map(mode, d0, t_max, 0.01, 12), regime_map(mode, d, t_max, 0.01, 12)
+        np.testing.assert_array_equal(rm.max_rel_dev, rm0.max_rel_dev)
+        np.testing.assert_array_equal(rm.within_tol, rm0.within_tol)
+
+
+def test_symmetric_start_tolerance_is_relative():
+    # (5e-13, 0) is as far from (r, -r) at L = 1e-12 as (0.5, 0) is at L = 1.
+    for L, zp in ((1e-12, 5e-13), (1.0, 0.5)):
+        with pytest.raises(OutOfRange):
+            deviation_scan("minkowski", NullRadialCoords(zp, 0.0), DiamondSpec(L), 0.0, 1.0, 3)
+        z = NullRadialCoords(zp, -zp * (1.0 + 1e-13))
+        assert deviation_scan("minkowski", z, DiamondSpec(L), 0.0, 1.0, 3).max_rel_dev >= 0.0
