@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,29 @@ def test_rk4_validates_steps():
 
 
 # ------------------------------------------------------------------ trajectory
+
+def test_trajectory_type_invariants():
+    # The record holds the region and the start as given, and float64
+    # columns that share one finite, strictly increasing t grid.
+    z = NullRadialCoords(2.3, -1.9)
+    w_start = SpacetimePoint(0.2, 0.9, 0.1, -0.3)
+    for start, spec in ((z, DiamondSpec(0.7, 2.0)), (w_start, WedgeSpec(-0.4))):
+        traj = sample_trajectory(start, -5.0, 5.0, 11, spec)
+        assert traj.region is spec and traj.start is start
+        assert traj.t_values.shape == (11,) and (np.diff(traj.t_values) > 0.0).all()
+        for col in (traj.z_plus, traj.z_minus, traj.x0, traj.x1, traj.x2, traj.x3):
+            assert col.dtype == np.float64 and col.shape == traj.t_values.shape
+            assert np.isfinite(col).all()
+        # z_pm = x0 +- r in a diamond, x0 +- x1 in a wedge
+        if isinstance(spec, DiamondSpec):
+            r = np.hypot(traj.x1, np.hypot(traj.x2, traj.x3))
+        else:
+            r = traj.x1
+        np.testing.assert_allclose(traj.z_plus, traj.x0 + r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.z_minus, traj.x0 - r, rtol=0, atol=1e-12)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.t_values = traj.t_values[::-1]
+
 
 def test_sample_trajectory_endpoints_only():
     traj = sample_trajectory(NullRadialCoords(0.0, 0.0), -1.0, 1.0, 2, UNIT)

@@ -111,16 +111,32 @@ def test_scan_limit_consistency_in_L():
 
 
 def test_scan_start_validation():
+    # both modes: a start on the boundary r = L, no samples, a reversed range
+    for mode, d in (("minkowski", UNIT), ("wedge", CORNER)):
+        with pytest.raises(OutOfRange):
+            deviation_scan(mode, NullRadialCoords(1.0, -1.0), d, 0, 1, 5)
+        with pytest.raises(OutOfRange):
+            deviation_scan(mode, NullRadialCoords(0.5, -0.5), d, 0, 1, 0)
+        with pytest.raises(OutOfRange):
+            deviation_scan(mode, NullRadialCoords(0.5, -0.5), d, 1, 0, 5)
+
+
+def test_minkowski_limit_validation():
+    # the inertial form needs a start (r, -r) with r < L
     with pytest.raises(OutOfRange):
         deviation_scan("minkowski", NullRadialCoords(0.5, -0.1), UNIT, 0, 1, 5)
     with pytest.raises(OutOfRange):
         deviation_scan("minkowski", NullRadialCoords(1.5, -1.5), UNIT, 0, 1, 5)
     with pytest.raises(OutOfRange):
-        deviation_scan("minkowski", NullRadialCoords(0.5, -0.5), UNIT, 0, 1, 0)
-    with pytest.raises(OutOfRange):
         deviation_scan("minkowski", NullRadialCoords(2.0, -2.0), UNIT, 0, 1, 5)
+
+
+def test_wedge_limit_validation():
+    # the boost form has no orbit through the corner itself
     with pytest.raises(OutOfRange):
         deviation_scan("wedge", NullRadialCoords(0.0, 0.0), CORNER, 0, 1, 5)
+    with pytest.raises(OutOfRange):
+        deviation_scan("wedge", NullRadialCoords(0.6, -0.4), CORNER, 0, 1, 5)
     # a negative radius cannot be written as a start
     with pytest.raises(OutOfRange):
         NullRadialCoords(-0.5, 0.5)
