@@ -1,20 +1,21 @@
 """Command-line surface: orbit tables, temperature grids, limit scans, figures.
 
-Exit codes: 0 success, 2 invalid configuration, 3 start or sample outside
-the region's domain, or a result that overflows or is not finite, 4
-mode/spec mismatch.  All numeric output is fixed at %.12e so identical
-configurations produce byte-identical files; CSV and SVG text comes from
-the array kernels of `_text`, byte-identical to Python's `%`.
+argparse parses and checks every flag, and each `cmd_*` takes its namespace.
+Exit codes: 0 success, 2 invalid configuration (argparse's usage and
+message), 3 start or sample outside the region's domain, or a result that
+overflows or is not finite, 4 mode/spec mismatch.  All numeric output is
+fixed at %.12e so identical configurations produce byte-identical files;
+CSV and SVG text comes from the array kernels of `_text`, byte-identical
+to Python's `%`.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -31,30 +32,6 @@ _FIELD_MARGIN = 1e-3
 # Most orbit samples, table rows or heat-map cells one run may produce;
 # checked before anything is allocated.
 MAX_OUTPUT_ROWS = 10_000_000
-
-
-class ConfigError(Exception):
-    """Invalid command-line configuration; reported with exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    region: str = "diamond"
-    size_L: float = 1.0
-    translation_L1: float = 0.0
-    apex: float = 0.0
-    starts: tuple = ()
-    t_min: float = -2.0
-    t_max: float = 2.0
-    n_t: int = 41
-    grid_n: int | None = None
-    tol: float = 0.01
-    mode: str | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    hyperbola_w: float | None = None
-    shade: bool = False
 
 
 # ------------------------------------------------------------------ formatting
@@ -95,181 +72,144 @@ def _write(text: str, out: str | None) -> None:
 
 # ------------------------------------------------------------------- parsing
 
-def _parse_pair(text: str) -> tuple[float, float]:
+def _parse(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _real(text: str, finite: bool = True, positive: bool = False) -> float:
+    value = _parse(float, text)
+    if finite and not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if positive and not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _count(text: str, minimum: int, rows=lambda n: n) -> int:
+    """An int of at least minimum whose rows(n) rows or cells fit MAX_OUTPUT_ROWS."""
+    n = _parse(int, text)
+    if n < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+    if rows(n) > MAX_OUTPUT_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"asks for more than {MAX_OUTPUT_ROWS} rows or cells, got {n}")
+    return n
+
+
+def _pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated values, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad start coordinates {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected ZP,ZM, got {text!r}")
+    return _parse(float, parts[0]), _parse(float, parts[1])
 
 
-def _parse_trange(text: str) -> tuple[float, float, int]:
+def _trange(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"expected min:max:n, got {text!r}")
-    try:
-        t_min, t_max, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad t-range {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX:N, got {text!r}")
+    t_min, t_max, n = _real(parts[0]), _real(parts[1]), _count(parts[2], 2)
+    if not t_min < t_max:
+        raise argparse.ArgumentTypeError(f"needs MIN < MAX, got {text!r}")
     return t_min, t_max, n
 
 
-@functools.cache  # one parser per process: parse_args leaves it unchanged
+@cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="diamondflow")
+    positive = partial(_real, positive=True)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, region=True, start=None, trange=True):
-        if region:
-            p.add_argument("--region", choices=("diamond", "wedge"), default="diamond")
-        p.add_argument("--L", type=float, default=1.0)
-        p.add_argument("--L1", type=float, default=0.0)
-        p.add_argument("--apex", type=float, default=0.0)
-        if start == "one":
-            p.add_argument("--start", default=None, metavar="ZP,ZM")
-        elif start == "many":
-            p.add_argument("--start", action="append", default=[], metavar="ZP,ZM")
+    def common(p, cmd, start=None, regions=("diamond", "wedge"), trange=True):
+        # start: the parser or group that takes one --start, or "many".
+        p.set_defaults(cmd=cmd)
+        if regions:
+            p.add_argument("--region", choices=regions, default="diamond")
+        p.add_argument("--L", type=positive, default=1.0)
+        p.add_argument("--L1", type=_real, default=0.0)
+        p.add_argument("--apex", type=_real, default=0.0)
+        if start == "many":
+            p.add_argument("--start", type=_pair, action="append", default=[], metavar="ZP,ZM")
+        elif start is not None:
+            start.add_argument("--start", type=_pair, metavar="ZP,ZM")
         if trange:
-            p.add_argument("--t", default="-2:2:41", metavar="MIN:MAX:N")
-        p.add_argument("--out", default=None)
+            p.add_argument("--t", type=_trange, default="-2:2:41", metavar="MIN:MAX:N")
+        p.add_argument("--out")
 
     p = sub.add_parser("traj", help="export one orbit as a table")
-    common(p, start="one")
+    common(p, cmd_traj, start=p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("field", help="export the temperature field on a grid")
-    common(p, start=None, trange=False)
-    p.add_argument("--grid", type=int, default=32)
+    common(p, cmd_field, regions=("diamond",), trange=False)
+    p.add_argument("--grid", type=partial(_count, minimum=2, rows=lambda n: n * (n + 1) // 2),
+                   default=32)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("limits", help="compare the exact flow against a limit form")
-    common(p, region=False, start="one")
+    starts_or_grid = p.add_mutually_exclusive_group()
+    common(p, cmd_limits, start=starts_or_grid, regions=())
     p.add_argument("--mode", choices=("minkowski", "wedge"), required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=0.01)
+    starts_or_grid.add_argument("--grid", type=partial(_count, minimum=1), help=(
+        "regime map over N starts instead of one --start scan; "
+        "it reads only MAX of --t, as its probe"))
+    p.add_argument("--tol", type=positive, default=0.01)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("plot", help="emit a static SVG figure")
-    common(p, start="many")
-    p.add_argument("--grid", type=int, default=24)
+    common(p, cmd_plot, start="many")
+    # The cell cap applies only with --shade; _check_shade tests it.
+    p.add_argument("--grid", type=partial(_count, minimum=1, rows=lambda n: 0), default=24)
     p.add_argument("--format", choices=("svg",), default="svg")
-    p.add_argument("--hyperbola-w", type=float, default=None, dest="hyperbola_w")
+    p.add_argument("--hyperbola-w", type=partial(_real, finite=False, positive=True))
     p.add_argument("--shade", action="store_true")
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    sc = args.subcommand
-    t_min, t_max, n_t = _parse_trange(getattr(args, "t", "-2:2:41"))
-
-    raw = getattr(args, "start", None)
-    if sc == "plot":
-        starts = tuple(_parse_pair(s) for s in raw)
-    elif raw is not None and not isinstance(raw, list):
-        starts = (_parse_pair(raw),)
-    elif sc == "traj":
-        region = getattr(args, "region", "diamond")
-        starts = ((1.0, -1.0),) if region == "wedge" else ((0.0, 0.0),)
-    elif sc == "limits":
-        starts = ((0.5, -0.5),)
-    else:
-        starts = ()
-
-    cfg = RunConfig(
-        subcommand=sc,
-        region=getattr(args, "region", "diamond"),
-        size_L=args.L,
-        translation_L1=args.L1,
-        apex=args.apex,
-        starts=starts,
-        t_min=t_min,
-        t_max=t_max,
-        n_t=n_t,
-        grid_n=getattr(args, "grid", None),
-        tol=getattr(args, "tol", 0.01),
-        mode=getattr(args, "mode", None),
-        fmt=getattr(args, "format", "csv"),
-        out=args.out,
-        hyperbola_w=getattr(args, "hyperbola_w", None),
-        shade=getattr(args, "shade", False),
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    for name, value in (("L", cfg.size_L), ("L1", cfg.translation_L1),
-                        ("apex", cfg.apex)):
-        if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite")
-    if cfg.size_L <= 0.0:
-        raise ConfigError("--L must be positive")
-    if cfg.subcommand in ("traj", "limits", "plot"):
-        if not (math.isfinite(cfg.t_min) and math.isfinite(cfg.t_max)):
-            raise ConfigError("--t bounds must be finite")
-        if cfg.n_t < 2:
-            raise ConfigError("--t needs n >= 2")
-        if not cfg.t_min < cfg.t_max:
-            raise ConfigError("--t needs min < max")
-    if cfg.subcommand == "field":
-        if cfg.region != "diamond":
-            raise ConfigError("field grids are defined for --region diamond")
-        if cfg.grid_n is None or cfg.grid_n < 2:
-            raise ConfigError("--grid must be >= 2")
-    if cfg.subcommand == "limits":
-        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
-            raise ConfigError("--tol must be positive")
-        if cfg.grid_n is not None and cfg.grid_n < 1:
-            raise ConfigError("--grid must be >= 1")
-    if cfg.subcommand == "plot":
-        if cfg.grid_n is None or cfg.grid_n < 1:
-            raise ConfigError("--grid must be >= 1")
-        if cfg.hyperbola_w is not None and not cfg.hyperbola_w > 0.0:
-            raise ConfigError("--hyperbola-w must be positive")
-        if cfg.shade and cfg.region != "diamond":
-            raise ConfigError("--shade is defined for --region diamond")
-    grid = cfg.grid_n or 0
-    cells = {"field": grid * (grid + 1) // 2, "limits": grid,
-             "plot": grid * grid if cfg.shade else 0}.get(cfg.subcommand, 0)
-    if max(cfg.n_t, cells) > MAX_OUTPUT_ROWS:
-        raise ConfigError(f"--t or --grid asks for more than {MAX_OUTPUT_ROWS} rows or cells")
+def _check_shade(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The one rule that reads two flags: plot --shade needs the diamond and a capped --grid."""
+    if args.subcommand == "plot" and args.shade:
+        if args.region != "diamond":
+            parser.error("--shade is defined for --region diamond")
+        if args.grid * args.grid > MAX_OUTPUT_ROWS:
+            parser.error(f"--shade --grid asks for more than {MAX_OUTPUT_ROWS} cells")
 
 
 # ----------------------------------------------------------------- subcommands
 
-def _orbit(cfg: RunConfig, start: tuple[float, float]) -> Trajectory:
+def _orbit(args: argparse.Namespace, start: tuple[float, float]) -> Trajectory:
     """The orbit through one --start pair over the --t grid."""
     zp0, zm0 = start
-    if cfg.region == "diamond":
-        region, point = DiamondSpec(cfg.size_L, cfg.translation_L1), NullRadialCoords(zp0, zm0)
+    if args.region == "diamond":
+        region, point = DiamondSpec(args.L, args.L1), NullRadialCoords(zp0, zm0)
     else:
-        region, point = WedgeSpec(cfg.apex), SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-    return sample_trajectory(point, cfg.t_min, cfg.t_max, cfg.n_t, region)
+        region, point = WedgeSpec(args.apex), SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
+    return sample_trajectory(point, *args.t, region)
 
 
 _TRAJ_COLS = ("t", "z_plus", "z_minus", "x0", "x1", "T", "a")
 
 
-def cmd_traj(cfg: RunConfig) -> str:
-    tr = _orbit(cfg, cfg.starts[0])
+def cmd_traj(args: argparse.Namespace) -> str:
+    tr = _orbit(args, args.start or ((1.0, -1.0) if args.region == "wedge" else (0.0, 0.0)))
     return _emit(_TRAJ_COLS, (tr.t_values, tr.z_plus, tr.z_minus, tr.x0, tr.x1,
-                              tr.temperature(), tr.acceleration()), cfg.fmt)
+                              tr.temperature(), tr.acceleration()), args.format)
 
 
 _FIELD_COLS = ("z_plus", "z_minus", "beta_plus", "beta_minus", "T", "a", "ratio")
 
 
-def cmd_field(cfg: RunConfig) -> str:
-    L = cfg.size_L
+def cmd_field(args: argparse.Namespace) -> str:
+    L = args.L
     m = _FIELD_MARGIN * L
-    axis = np.linspace(-L + m, L - m, cfg.grid_n)
+    axis = np.linspace(-L + m, L - m, args.grid)
     # One row per pair up >= um, up-major: the lower triangle of the axis grid.
-    i, j = np.tril_indices(cfg.grid_n)
+    i, j = np.tril_indices(args.grid)
     up, um = axis[i], axis[j]
-    z_plus, z_minus, _, _ = global_null(up, um, cfg.translation_L1)
-    return _emit(_FIELD_COLS, (z_plus, z_minus, *field_grid(up, um, L)), cfg.fmt)
+    z_plus, z_minus, _, _ = global_null(up, um, args.L1)
+    return _emit(_FIELD_COLS, (z_plus, z_minus, *field_grid(up, um, L)), args.format)
 
 
 _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
@@ -277,39 +217,39 @@ _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
 _REGIME_COLS = ("r", "ratio", "max_rel_dev", "within_tol")
 
 
-def cmd_limits(cfg: RunConfig) -> str:
-    d = DiamondSpec(cfg.size_L, cfg.translation_L1)
-    if cfg.grid_n is not None:
-        rm = regime_map(cfg.mode, d, cfg.t_max, cfg.tol, cfg.grid_n)
+def cmd_limits(args: argparse.Namespace) -> str:
+    d = DiamondSpec(args.L, args.L1)
+    if args.grid is not None:
+        rm = regime_map(args.mode, d, args.t[1], args.tol, args.grid)
         true_cells = int(rm.within_tol.sum())
-        footer = f"# true_cells={true_cells} of {cfg.grid_n}"
-        fields = {"true_cells": true_cells, "cells": cfg.grid_n}
+        footer = f"# true_cells={true_cells} of {args.grid}"
+        fields = {"true_cells": true_cells, "cells": args.grid}
         return _emit(_REGIME_COLS, (rm.r_values, rm.ratio, rm.max_rel_dev, rm.within_tol),
-                     cfg.fmt, footer, fields)
-    rep = deviation_scan(cfg.mode, NullRadialCoords(*cfg.starts[0]), d,
-                         cfg.t_min, cfg.t_max, cfg.n_t)
+                     args.format, footer, fields)
+    start = NullRadialCoords(*(args.start or (0.5, -0.5)))
+    rep = deviation_scan(args.mode, start, d, *args.t)
     # The maxima of the abs_dev and rel_dev columns, which _emit checks
     # for finiteness.
     dev = (f"{rep.max_abs_dev:.12e}", f"{rep.max_rel_dev:.12e}")
     footer = f"# max_abs_dev={dev[0]} max_rel_dev={dev[1]}"
     fields = {"max_abs_dev": float(dev[0]), "max_rel_dev": float(dev[1])}
     columns = (rep.t_values, *rep.exact.T, *rep.limit.T, rep.abs_dev, rep.rel_dev)
-    return _emit(_SCAN_COLS, columns, cfg.fmt, footer, fields)
+    return _emit(_SCAN_COLS, columns, args.format, footer, fields)
 
 
-def cmd_plot(cfg: RunConfig) -> str:
-    orbits = [_orbit(cfg, start) for start in cfg.starts]
+def cmd_plot(args: argparse.Namespace) -> str:
+    orbits = [_orbit(args, start) for start in args.start]
     lines = [(tr.x1, tr.x0) for tr in orbits]
-    if cfg.region == "diamond":
-        L, L1 = cfg.size_L, cfg.translation_L1
+    if args.region == "diamond":
+        L, L1 = args.L, args.L1
         outline = ([L1, L1 + L, L1, L1 - L], [L, 0.0, -L, 0.0])
-        shade = _shade_cells(DiamondSpec(L, L1), cfg.grid_n) if cfg.shade else None
-        return render_figure(outline, True, lines, cfg.hyperbola_w, shade)
+        shade = _shade_cells(DiamondSpec(L, L1), args.grid) if args.shade else None
+        return render_figure(outline, True, lines, args.hyperbola_w, shade)
     reach = 1.0
     for tr in orbits:
-        reach = max(reach, float(np.abs(tr.x0).max()), float((tr.x1 - cfg.apex).max()))
-    outline = ([cfg.apex + reach, cfg.apex, cfg.apex + reach], [reach, 0.0, -reach])
-    return render_figure(outline, False, lines, cfg.hyperbola_w)
+        reach = max(reach, float(np.abs(tr.x0).max()), float((tr.x1 - args.apex).max()))
+    outline = ([args.apex + reach, args.apex, args.apex + reach], [reach, 0.0, -reach])
+    return render_figure(outline, False, lines, args.hyperbola_w)
 
 
 def _shade_cells(d: DiamondSpec, n: int):
@@ -328,24 +268,18 @@ def _shade_cells(d: DiamondSpec, n: int):
     return L1 + 0.5 * (up - um), 0.5 * (up + um), value
 
 
-_DISPATCH = {"traj": cmd_traj, "field": cmd_field,
-             "limits": cmd_limits, "plot": cmd_plot}
-
-
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        _check_shade(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
         # numpy overflow and NaN become exceptions, so no kernel result
         # reaches the output unchecked.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            text = _DISPATCH[cfg.subcommand](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            text = args.cmd(args)
     except SpecMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -355,7 +289,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
-    _write(text, cfg.out)
+    _write(text, args.out)
     return 0
 
 

@@ -97,10 +97,25 @@ def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
     """Boost by modular parameter t; preserves (x1-apex)^2 - x0^2."""
     if not in_wedge(x, w):
         raise OutOfRegion(f"{x} is not in the wedge with apex {w.apex_x1}")
+    return SpacetimePoint(*_boost(x, w, t), x.x2, x.x3)
+
+
+def _boost(x: SpacetimePoint, w: WedgeSpec, t):
+    """x0 and x1 of x boosted by t, a float or a float64 array of them.
+
+    math.cosh and math.sinh per value: np.cosh differs from math.cosh in
+    the last bit on some arguments.
+    """
+    try:
+        if isinstance(t, np.ndarray):
+            ch = np.array([math.cosh(v) for v in t.tolist()])
+            sh = np.array([math.sinh(v) for v in t.tolist()])
+        else:
+            ch, sh = math.cosh(t), math.sinh(t)
+    except OverflowError as exc:
+        raise OutOfRange("the boost leaves the range of float64") from exc
     rel = x.x1 - w.apex_x1
-    ch = math.cosh(t)
-    sh = math.sinh(t)
-    return SpacetimePoint(x.x0 * ch + rel * sh, w.apex_x1 + rel * ch + x.x0 * sh, x.x2, x.x3)
+    return x.x0 * ch + rel * sh, w.apex_x1 + rel * ch + x.x0 * sh
 
 
 def diamond_flow(z: NullRadialCoords, t: float, d: DiamondSpec) -> NullRadialCoords:
@@ -177,16 +192,7 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
     if isinstance(spec, WedgeSpec):
         if not in_wedge(start, spec):
             raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
-        # wedge_flow's math.cosh and math.sinh and its order of operations:
-        # np.cosh differs from math.cosh in the last bit on some arguments.
-        try:
-            ch = np.array([math.cosh(t) for t in ts.tolist()])
-            sh = np.array([math.sinh(t) for t in ts.tolist()])
-        except OverflowError as exc:
-            raise OutOfRange("the boost leaves the range of float64") from exc
-        rel = start.x1 - spec.apex_x1
-        x0 = start.x0 * ch + rel * sh
-        x1 = spec.apex_x1 + rel * ch + start.x0 * sh
+        x0, x1 = _boost(start, spec, ts)
         cols = (x0 + x1, x0 - x1, x0, x1, np.full_like(ts, start.x2), np.full_like(ts, start.x3))
     else:
         up, um, axis = require_interior_null(start, spec)

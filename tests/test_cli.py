@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diamondflow.cli import MAX_OUTPUT_ROWS, ConfigError, RunConfig, _build_parser, _validate, main
+from diamondflow.cli import MAX_OUTPUT_ROWS, _build_parser, _check_shade, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
 
@@ -116,14 +117,38 @@ def test_double_run_byte_identical(tmp_path):
 
 # ------------------------------------------------------------------ exit codes
 
+# (argv, the flag that its stderr names)
+_INVALID = [
+    ("traj --t 0:1:1", "--t"),
+    ("traj --t 0:0:5", "--t"),
+    ("traj --t 0:1", "--t"),
+    ("traj --t 0:inf:5", "--t"),
+    ("traj --start nope", "--start"),
+    ("traj --L nan", "--L"),
+    ("traj --L 0", "--L"),
+    ("field --L1 inf", "--L1"),
+    ("field --apex nan", "--apex"),
+    ("field --grid 1", "--grid"),
+    ("field --region wedge", "--region"),
+    ("plot --hyperbola-w -1", "--hyperbola-w"),
+    ("plot --hyperbola-w nan", "--hyperbola-w"),
+    ("plot --grid 0", "--grid"),
+    ("plot --shade --region wedge", "--shade"),
+    ("limits --mode wedge --tol 0", "--tol"),
+    ("limits --mode wedge --tol inf", "--tol"),
+    ("limits --mode wedge --grid 0", "--grid"),
+    # the regime map picks its own starts, so --start beside --grid is refused
+    ("limits --mode wedge --grid 4 --start 0.5,-0.5", "--grid"),
+    ("limits --mode minkowski --start=0.3,-0.9 --grid 2 --t 0:1:3", "--start"),
+]
+
+
 def test_exit_invalid_config(capsys):
-    assert main(["traj", "--t", "0:1:1"]) == 2
-    assert main(["traj", "--t", "0:0:5"]) == 2
-    assert main(["traj", "--start", "nope"]) == 2
-    assert main(["field", "--grid", "1"]) == 2
-    assert main(["field", "--region", "wedge"]) == 2
-    assert main(["plot", "--hyperbola-w", "-1"]) == 2
-    capsys.readouterr()
+    for command, flag in _INVALID:
+        assert main(command.split()) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(re.escape(flag) + r"(?![\w-])", captured.err), (command, captured.err)
 
 
 def test_exit_unknown_flag_or_subcommand(capsys):
@@ -381,26 +406,30 @@ def test_traj_long_orbit_temperature(tmp_path):
     _check_traj(out.read_text(), 1.0, (0.3, -0.5))
 
 
-def test_validate_caps_output_size():
-    # Only validation runs here: a wrong cap must not allocate.
+def test_validate_caps_output_size(capsys):
+    # Only parsing and the --shade check run here: a wrong cap must not allocate.
     cap = MAX_OUTPUT_ROWS
     big_field = next(g for g in range(4000, 5000) if g * (g + 1) // 2 > cap)
     big_shade = next(g for g in range(3000, 4000) if g * g > cap)
-    ok = [RunConfig("traj", n_t=cap), RunConfig("limits", n_t=cap, mode="wedge"),
-          RunConfig("limits", grid_n=cap, mode="wedge"),
-          RunConfig("field", grid_n=big_field - 1),
-          RunConfig("plot", grid_n=big_shade - 1, shade=True),
-          RunConfig("plot", grid_n=10 * cap)]
-    for cfg in ok:
-        _validate(cfg)
-    bad = [RunConfig("traj", n_t=cap + 1), RunConfig("plot", n_t=cap + 1, grid_n=1),
-           RunConfig("limits", n_t=cap + 1, mode="wedge"),
-           RunConfig("limits", grid_n=cap + 1, mode="wedge"),
-           RunConfig("field", grid_n=big_field), RunConfig("field", grid_n=100_000),
-           RunConfig("plot", grid_n=big_shade, shade=True)]
-    for cfg in bad:
-        with pytest.raises(ConfigError, match=str(cap)):
-            _validate(cfg)
+    parser = _build_parser()
+
+    def check(command):
+        _check_shade(parser, parser.parse_args(command.split()))
+
+    ok = [f"traj --t=-2:2:{cap}", f"limits --mode wedge --t=-2:2:{cap}",
+          f"limits --mode wedge --grid {cap}", f"field --grid {big_field - 1}",
+          f"plot --shade --grid {big_shade - 1}", f"plot --grid {10 * cap}"]
+    for command in ok:
+        check(command)
+    bad = [f"traj --t=-2:2:{cap + 1}", f"plot --grid 1 --t=-2:2:{cap + 1}",
+           f"limits --mode wedge --t=-2:2:{cap + 1}", f"limits --mode wedge --grid {cap + 1}",
+           f"field --grid {big_field}", "field --grid 100000",
+           f"plot --shade --grid {big_shade}"]
+    for command in bad:
+        with pytest.raises(SystemExit) as exc:
+            check(command)
+        assert exc.value.code == 2
+        assert str(cap) in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("command", [
@@ -557,6 +586,24 @@ def test_stdout_default(capsys):
     assert main(["traj", "--t", "0:1:2"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("t,z_plus,z_minus,x0,x1,T,a\n")
+
+
+def _readme_commands():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Every command of README's "Command line" block runs as written.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert argv[0] == "diamondflow", argv
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 @pytest.mark.skipif(

@@ -70,6 +70,15 @@ def test_wedge_flow_rejects_outside():
         wedge_flow(SpacetimePoint(2.0, 1.0), 0.5, WEDGE)
 
 
+def test_wedge_flow_overflow_is_out_of_range():
+    # cosh(t) overflows float64 from |t| ~ 710; the error is a domain error
+    for t in (800.0, -800.0, 1e6):
+        with pytest.raises(OutOfRange):
+            wedge_flow(SpacetimePoint(0, 1), t, WEDGE)
+    q = wedge_flow(SpacetimePoint(0, 1), 700.0, WEDGE)
+    assert type(q.x0) is float and q.x1 == math.cosh(700.0)
+
+
 # --------------------------------------------------------------- diamond flow
 
 def test_center_orbit_is_tanh():
