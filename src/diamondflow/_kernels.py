@@ -1,15 +1,16 @@
 """Array kernels for the closed-form flows and the RK4 oracle.
 
-The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L) by t/2:
-diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never leaves
-|u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
-from the rapidities, not from the rounded u(t); global_null turns centered
-pairs into the global null and Cartesian columns.  field_grid needs no atanh:
-with q_pm = (1 - v_pm)(1 + v_pm), v = u/L, beta_pm = (L/2) q_pm,
-T = 1/(pi L sqrt(q+ q-)), ratio = |v+ - v-|/2 and a = 2 pi T ratio, with
-no product of two L-sized factors.  rk4_diamond and rk4_wedge step the
-generator field in u coordinates with scalar RK4 loops and never consult
-the closed forms, so they stay an independent check.
+Each formula is written once, over operations that give the same bits for
+a Python float and for a float64 array, so the scalar API calls these
+kernels too.  The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L)
+by t/2: diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never
+leaves |u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
+from the rapidities, not from the rounded u(t).  wedge_orbit is the boost in
+null coordinates, global_null turns centered pairs into the global null and
+Cartesian columns, and thermal is the one source of the thermal quantities.
+rk4_diamond and rk4_wedge step the generator field in u coordinates with
+scalar RK4 loops and never consult the closed forms, so they stay an
+independent check.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 
 
 def _rapidities(u_plus, u_minus, size, t):
-    s = 0.5 * np.asarray(t, dtype=np.float64)
-    return (np.arctanh(np.asarray(u_plus, dtype=np.float64) / size) + s,
-            np.arctanh(np.asarray(u_minus, dtype=np.float64) / size) + s)
+    s = 0.5 * t
+    return np.arctanh(u_plus / size) + s, np.arctanh(u_minus / size) + s
 
 
 def _rk4_diamond_loop(u_plus, u_minus, size, t, n_steps):
@@ -106,6 +106,24 @@ def diamond_orbit(u_plus, u_minus, size: float, t):
     return size * np.tanh(rho_p), size * np.tanh(rho_m)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def wedge_orbit(x0, x1, apex: float, t):
+    """(x0, x1, z_plus, z_minus) of the point (x0, x1) boosted by t about x1 = apex.
+
+    t is a float or a float64 array.  The null coordinates
+    x_pm = x0 +- (x1 - apex) scale by e^(+-t), so they move by
+    d_pm = x_pm expm1(+-t): z_pm = x0 +- x1 move by d_pm and x0, x1 by
+    (d+ +- d-)/2.  t = 0 returns the start exactly, and z_pm never cancel
+    the large x0 against x1 far along the orbit.  A result beyond the
+    float range is inf or nan, which the callers reject.
+    """
+    rel = x1 - apex
+    d_plus = (x0 + rel) * np.expm1(t)
+    d_minus = (x0 - rel) * np.expm1(-t)
+    return (x0 + 0.5 * (d_plus + d_minus), x1 + 0.5 * (d_plus - d_minus),
+            (x0 + x1) + d_plus, (x0 - x1) + d_minus)
+
+
 def orbit_temperature(u_plus, u_minus, size: float, t):
     """Temperature cosh rho+(t) cosh rho-(t) / (pi L) along the orbit of diamond_orbit."""
     size = float(size)
@@ -137,16 +155,41 @@ def global_null(u_plus, u_minus, shift: float):
     return z_plus, z_minus, 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus) * sign
 
 
-def field_grid(u_plus: np.ndarray, u_minus: np.ndarray, size: float):
-    """Thermal field quantities (beta+, beta-, T, a, ratio) for centered pairs."""
-    size = float(size)
-    vp = np.asarray(u_plus, dtype=np.float64) / size
-    vm = np.asarray(u_minus, dtype=np.float64) / size
-    qp = (1.0 - vp) * (1.0 + vp)
-    qm = (1.0 - vm) * (1.0 + vm)
-    temperature = 1.0 / (np.pi * size * np.sqrt(qp * qm))
-    ratio = 0.5 * np.abs(vp - vm)
-    return 0.5 * size * qp, 0.5 * size * qm, temperature, 2.0 * np.pi * temperature * ratio, ratio
+def null_beta(u, size: float):
+    """(v, q, beta) of one centered null coordinate u; see thermal.
+
+    beta is polynomial in u, so this holds on the closed diamond |u| <= L.
+    """
+    v = u / size
+    q = (1.0 - v) * (1.0 + v)
+    return v, q, 0.5 * size * q
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def thermal(u_plus, u_minus, size: float):
+    """Thermal quantities (beta+, beta-, ||beta||, T, a, r/L) of centered pairs.
+
+    The one source of these formulas.  With v_pm = u_pm/L and
+    q_pm = (1 - v_pm)(1 + v_pm) = 1/cosh^2 rho_pm:
+
+        beta_pm = (L/2) q_pm,             ||beta|| = (L/2) sqrt(q+ q-),
+        T = 1/(2 pi ||beta||) = 1/(pi L sqrt(q+ q-)),
+        r/L = |v+ - v-|/2,                a = 2 pi T r/L.
+
+    beta_pm is the null form of the flow tangent and ||beta|| = dtau/dt;
+    T diverges toward the boundary and is 1/(pi L) at the center.  L enters
+    each formula as one factor, never as L^2, so a result overflows only
+    when the quantity itself does, and is then inf.  Only + - * /, abs and
+    sqrt appear, all correctly rounded, so a float pair and an array
+    element give the same bits.  Needs q+ q- > 0: strictly interior pairs.
+    """
+    vp, qp, beta_p = null_beta(u_plus, size)
+    vm, qm, beta_m = null_beta(u_minus, size)
+    root = np.sqrt(qp * qm)
+    temperature = 1.0 / (np.pi * size * root)
+    ratio = 0.5 * abs(vp - vm)
+    return (beta_p, beta_m, 0.5 * size * root, temperature,
+            2.0 * np.pi * temperature * ratio, ratio)
 
 
 def rk4_diamond(u_plus: float, u_minus: float, size: float, t: float, n_steps: int):

@@ -19,13 +19,13 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._kernels import field_grid, global_null
+from ._kernels import global_null, thermal
 from ._text import cells, join
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import Trajectory, sample_trajectory
 from .geometry import DiamondSpec, NullRadialCoords, SpacetimePoint, WedgeSpec
-from .limits import deviation_scan, regime_map
+from .limits import MODES, deviation_scan, regime_map
 
 _FIELD_MARGIN = 1e-3
 
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="compare the exact flow against a limit form")
     starts_or_grid = p.add_mutually_exclusive_group()
     common(p, cmd_limits, start=starts_or_grid, regions=())
-    p.add_argument("--mode", choices=("minkowski", "wedge"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     starts_or_grid.add_argument("--grid", type=partial(_count, minimum=1), help=(
         "regime map over N starts instead of one --start scan; "
         "it reads only MAX of --t, as its probe"))
@@ -209,7 +209,8 @@ def cmd_field(args: argparse.Namespace) -> str:
     i, j = np.tril_indices(args.grid)
     up, um = axis[i], axis[j]
     z_plus, z_minus, _, _ = global_null(up, um, args.L1)
-    return _emit(_FIELD_COLS, (z_plus, z_minus, *field_grid(up, um, L)), args.format)
+    beta_p, beta_m, _, T, a, ratio = thermal(up, um, L)
+    return _emit(_FIELD_COLS, (z_plus, z_minus, beta_p, beta_m, T, a, ratio), args.format)
 
 
 _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
@@ -258,8 +259,9 @@ def _shade_cells(d: DiamondSpec, n: int):
     m = _FIELD_MARGIN * L
     edges = np.linspace(-L + m, L - m, n + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    bp, bm, _, _, _ = field_grid(np.repeat(centers, n), np.tile(centers, n), L)
-    value = 2.0 * np.sqrt((bp / L) * (bm / L))
+    # The shade is sqrt((1 - v+^2)(1 - v-^2)) = ||beta||/(L/2), 1 at the center.
+    _, _, norm, _, _, _ = thermal(np.repeat(centers, n), np.tile(centers, n), L)
+    value = norm / (0.5 * L)
     # Cell (i, j) spans up in edges[i:i+2] and um in edges[j:j+2]; its
     # corners run (p0, q0), (p1, q0), (p1, q1), (p0, q1).
     lo, hi = edges[:-1], edges[1:]

@@ -1,11 +1,13 @@
 """Closed-form modular flow for wedges and diamonds, with oracles.
 
-The wedge flow is the boost about the wedge edge,
+The wedge flow is the boost about the wedge edge x1 = apex.  In the null
+coordinates x_pm = x0 +- (x1 - apex) it is the scaling
 
-    x0(t) = x0 cosh t + (x1 - apex) sinh t,
-    x1(t) = apex + (x1 - apex) cosh t + x0 sinh t,
+    x_pm(t) = x_pm e^(+-t),
 
-and the diamond flow, the conformal image of the boost, shifts the
+which _kernels.wedge_orbit adds to the start as the displacements
+x_pm expm1(+-t), so t = 0 is exactly the identity.  The diamond
+flow, the conformal image of the boost, shifts the
 rapidities rho_pm = atanh(u_pm/L) of the diamond-centered null
 coordinates u_pm by t/2:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import OutOfRange, OutOfRegion
+from .errors import OutOfRange, OutOfRegion, StepOutOfRegion
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -38,7 +40,7 @@ from .geometry import (
     null_from_centered,
     require_interior_null,
 )
-from .thermo import _beta_norm, _beta_vector, acceleration_at, wedge_temperature
+from .thermo import acceleration_at, beta_field, wedge_temperature
 
 __all__ = [
     "Trajectory",
@@ -97,34 +99,15 @@ def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
     """Boost by modular parameter t; preserves (x1-apex)^2 - x0^2."""
     if not in_wedge(x, w):
         raise OutOfRegion(f"{x} is not in the wedge with apex {w.apex_x1}")
-    return SpacetimePoint(*_boost(x, w, t), x.x2, x.x3)
-
-
-def _boost(x: SpacetimePoint, w: WedgeSpec, t):
-    """x0 and x1 of x boosted by t, a float or a float64 array of them.
-
-    math.cosh and math.sinh per value: np.cosh differs from math.cosh in
-    the last bit on some arguments.
-    """
-    try:
-        if isinstance(t, np.ndarray):
-            ch = np.array([math.cosh(v) for v in t.tolist()])
-            sh = np.array([math.sinh(v) for v in t.tolist()])
-        else:
-            ch, sh = math.cosh(t), math.sinh(t)
-    except OverflowError as exc:
-        raise OutOfRange("the boost leaves the range of float64") from exc
-    rel = x.x1 - w.apex_x1
-    return x.x0 * ch + rel * sh, w.apex_x1 + rel * ch + x.x0 * sh
+    x0, x1, _, _ = _kernels.wedge_orbit(x.x0, x.x1, w.apex_x1, t)
+    return SpacetimePoint(x0, x1, x.x2, x.x3)
 
 
 def diamond_flow(z: NullRadialCoords, t: float, d: DiamondSpec) -> NullRadialCoords:
     """Flow by modular parameter t on the diamond d: rho_pm -> rho_pm + t/2."""
     up, um, axis = require_interior_null(z, d)
-    L = d.size_L
-    s = 0.5 * t
-    return null_from_centered(L * math.tanh(math.atanh(up / L) + s),
-                              L * math.tanh(math.atanh(um / L) + s), axis, d)
+    u_plus, u_minus = _kernels.diamond_orbit(up, um, d.size_L, t)
+    return null_from_centered(float(u_plus), float(u_minus), axis, d)
 
 
 def generator(point, spec: RegionSpec) -> SpacetimePoint:
@@ -141,15 +124,16 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
     if not isinstance(point, NullRadialCoords):
         raise TypeError("diamond generator expects NullRadialCoords")
-    require_interior_null(point, spec)
-    bt, bs, axis = _beta_vector(point, spec)
+    axis = require_interior_null(point, spec)[2]
+    beta_p, beta_m = beta_field(point, spec)
+    bt, bs = 0.5 * (beta_p + beta_m), 0.5 * (beta_p - beta_m)
     return SpacetimePoint(bt, bs * axis[0], bs * axis[1], bs * axis[2])
 
 
 def proper_time_rate(z: NullRadialCoords, d: DiamondSpec) -> float:
-    """dtau/dt = sqrt(beta+ beta-) for the diamond flow at z."""
+    """dtau/dt = ||beta|| = sqrt(beta+ beta-) for the diamond flow at z."""
     up, um, _ = require_interior_null(z, d)
-    return _beta_norm(up, um, d.size_L)
+    return float(_kernels.thermal(up, um, d.size_L)[2])
 
 
 def integrate_flow_rk4(point, t: float, n_steps: int, spec: RegionSpec):
@@ -174,8 +158,6 @@ def integrate_flow_rk4(point, t: float, n_steps: int, spec: RegionSpec):
 
 def _raise_on_step_out(status: int) -> None:
     if status != 0:
-        from .errors import StepOutOfRegion
-
         raise StepOutOfRegion("an integrator stage left the closed region; use more steps")
 
 
@@ -192,8 +174,8 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
     if isinstance(spec, WedgeSpec):
         if not in_wedge(start, spec):
             raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
-        x0, x1 = _boost(start, spec, ts)
-        cols = (x0 + x1, x0 - x1, x0, x1, np.full_like(ts, start.x2), np.full_like(ts, start.x3))
+        x0, x1, z_plus, z_minus = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, ts)
+        cols = (z_plus, z_minus, x0, x1, np.full_like(ts, start.x2), np.full_like(ts, start.x3))
     else:
         up, um, axis = require_interior_null(start, spec)
         z_plus, z_minus, x0, x1 = _kernels.global_null(
@@ -244,23 +226,29 @@ def proper_acceleration(start, spec: RegionSpec) -> float:
             return np.array([q.x0, q.x1, q.x2, q.x3])
 
         def rate(t: float) -> float:
-            q = wedge_flow(start, t, spec)
-            rel = q.x1 - spec.apex_x1
-            return math.sqrt(max(rel * rel - q.x0 * q.x0, 0.0))
+            x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
+            rel = x1 - spec.apex_x1
+            return math.sqrt(rel - x0) * math.sqrt(rel + x0)
 
     else:
-        require_interior_null(start, spec)
+        up, um, _ = require_interior_null(start, spec)
 
         def position(t: float) -> np.ndarray:
             q = from_null(diamond_flow(start, t, spec))
             return np.array([q.x0, q.x1, q.x2, q.x3])
 
         def rate(t: float) -> float:
-            return proper_time_rate(diamond_flow(start, t, spec), spec)
+            # dtau/dt on the centered orbit, as proper_time_rate gives it
+            u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
+            return float(_kernels.thermal(*u_t, spec.size_L)[2])
 
     h = 1e-4 * rate(0.0)
     t_fwd = _solve_tau(rate, h)
     t_bwd = _solve_tau(rate, -h)
-    second = (position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / (h * h)
-    q = second[0] ** 2 - second[1] ** 2 - second[2] ** 2 - second[3] ** 2
-    return math.sqrt(abs(q))
+    # No h*h and no squared coordinates, which leave the range far from L = 1.
+    second = (position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h
+    big = float(np.abs(second).max())
+    if big == 0.0:
+        return 0.0
+    s = second / big
+    return big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))

@@ -257,13 +257,14 @@ def null_from_centered(u_plus: float, u_minus: float,
     return NullRadialCoords(x0 + r, x0 - r, direction)
 
 
-def require_interior_null(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
-    """centered_null_pair(z, d) for z strictly inside d, at least BOUNDARY_MARGIN*L from its faces."""
+def require_interior_null(z: NullRadialCoords, d: DiamondSpec,
+                          margin: float = BOUNDARY_MARGIN) -> tuple[float, float, tuple[float, float, float]]:
+    """centered_null_pair(z, d) for z at least margin*L inside d; margin=0 admits the boundary."""
     u_plus, u_minus, axis = centered_null_pair(z, d)
-    lim = d.size_L * (1.0 - BOUNDARY_MARGIN)
-    if abs(u_plus) >= lim or abs(u_minus) >= lim:
+    lim = d.size_L * (1.0 - margin)
+    if abs(u_plus) > lim or abs(u_minus) > lim:
         raise OutOfRegion(
-            "point must lie strictly inside the diamond, away from the boundary: "
+            f"point must lie in the diamond at least {margin!r} L from its faces: "
             f"|u+|={abs(u_plus)!r}, |u-|={abs(u_minus)!r}, limit={lim!r}"
         )
     return u_plus, u_minus, axis

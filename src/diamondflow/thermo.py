@@ -1,14 +1,10 @@
 """Inverse-temperature field and local temperature for causal diamonds.
 
-In the scale-free centered null coordinates v_pm = u_pm/L = tanh(rho_pm)
-the flow tangent has null components beta_pm = (L/2)(1 - v_pm)(1 + v_pm)
-= L/(2 cosh^2 rho_pm), zero on the faces.  Its Minkowski norm
-||beta|| = sqrt(beta+ beta-) sets the local directional temperature
-T = 1/(2 pi ||beta||) = cosh rho+ cosh rho- / (pi L), which diverges toward
-the boundary and equals 1/(pi L) at the center.  The orbit has proper
-acceleration a = 2 pi T r/L with r/L = |v+ - v-|/2.  The wedge assigns
-T = a/(2 pi), so temperature_ratio equals r/L.  L enters as one factor,
-never as L^2, so no result overflows before the quantity itself does.
+The null components beta_pm of the flow tangent, its norm ||beta||, the
+local temperature T = 1/(2 pi ||beta||), the proper acceleration a and the
+ratio r/L are stated and computed once, in _kernels.thermal; the functions
+here validate a point and return its values as Python floats.  The wedge
+assigns T = a/(2 pi), so temperature_ratio equals r/L.
 """
 
 from __future__ import annotations
@@ -16,13 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveAcceleration, OutOfRange, OutOfRegion
-from .geometry import (
-    DiamondSpec,
-    NullRadialCoords,
-    centered_null_pair,
-    require_interior_null,
-)
+from . import _kernels
+from .errors import NonpositiveAcceleration, OutOfRange
+from .geometry import DiamondSpec, NullRadialCoords, require_interior_null
 
 __all__ = [
     "TemperatureSample",
@@ -36,9 +28,6 @@ __all__ = [
     "agreement_window",
     "relative_entropy",
 ]
-
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class TemperatureSample:
@@ -68,63 +57,29 @@ class FourMomentum:
             object.__setattr__(self, name, v)
 
 
-# ||beta|| = (L/2) sqrt((1 - v+^2)(1 - v-^2)); also flow.proper_time_rate.
-def _beta_norm(up: float, um: float, L: float) -> float:
-    vp, vm = up / L, um / L
-    return 0.5 * L * math.sqrt((1.0 - vp) * (1.0 + vp) * ((1.0 - vm) * (1.0 + vm)))
-
-
-def _closure_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
-    # beta is polynomial, so it extends to the closed diamond; only the
-    # quantities that divide by it need the interior margin.
-    up, um, axis = centered_null_pair(z, d)
-    L = d.size_L
-    if abs(up) > L or abs(um) > L:
-        raise OutOfRegion(f"point with |u+|={abs(up)!r}, |u-|={abs(um)!r} is outside the closed diamond")
-    return up, um, axis
-
-
-def _beta_pair(up: float, um: float, L: float) -> tuple[float, float]:
-    vp, vm = up / L, um / L
-    return 0.5 * L * ((1.0 - vp) * (1.0 + vp)), 0.5 * L * ((1.0 - vm) * (1.0 + vm))
-
-
 def beta_field(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float]:
     """Null components beta_pm = (L/2)(1 - v_pm)(1 + v_pm) of the flow tangent, v = u/L.
 
     Defined on the closed diamond; vanishes on the corresponding null face.
     """
-    up, um, _ = _closure_pair(z, d)
-    return _beta_pair(up, um, d.size_L)
-
-
-def _beta_vector(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
-    # (beta^0, beta^s, axis): the flow tangent is beta^0 e0 + beta^s axis.
-    up, um, axis = _closure_pair(z, d)
-    beta_p, beta_m = _beta_pair(up, um, d.size_L)
-    return 0.5 * (beta_p + beta_m), 0.5 * (beta_p - beta_m), axis
+    up, um, _ = require_interior_null(z, d, margin=0.0)
+    return _kernels.null_beta(up, d.size_L)[2], _kernels.null_beta(um, d.size_L)[2]
 
 
 def wedge_temperature(acceleration: float) -> float:
     """Temperature a/(2 pi) seen on a wedge boost orbit with proper acceleration a."""
     if not (acceleration > 0.0) or not math.isfinite(acceleration):
         raise NonpositiveAcceleration(f"need a finite acceleration > 0, got {acceleration!r}")
-    return acceleration / _TWO_PI
+    return acceleration / (2.0 * math.pi)
 
 
 def diamond_temperature(z: NullRadialCoords, d: DiamondSpec) -> TemperatureSample:
     """Full thermal sample at a strictly interior diamond point."""
     up, um, _ = require_interior_null(z, d)
-    L = d.size_L
-    bnorm = _beta_norm(up, um, L)
-    temperature = 1.0 / (_TWO_PI * bnorm)
-    return TemperatureSample(
-        point=z,
-        beta_null=_beta_pair(up, um, L),
-        beta_norm=bnorm,
-        temperature=temperature,
-        acceleration=_TWO_PI * temperature * _ratio(up, um, L),
-    )
+    beta_p, beta_m, norm, temperature, acceleration, _ = map(
+        float, _kernels.thermal(up, um, d.size_L))
+    return TemperatureSample(point=z, beta_null=(beta_p, beta_m), beta_norm=norm,
+                             temperature=temperature, acceleration=acceleration)
 
 
 def acceleration_at(z: NullRadialCoords, d: DiamondSpec) -> float:
@@ -138,26 +93,31 @@ def acceleration_at(z: NullRadialCoords, d: DiamondSpec) -> float:
 def temperature_ratio(z: NullRadialCoords, d: DiamondSpec) -> float:
     """Wedge-to-diamond temperature ratio at z; equals r/L algebraically."""
     up, um, _ = require_interior_null(z, d)
-    return _ratio(up, um, d.size_L)
-
-
-def _ratio(up: float, um: float, L: float) -> float:
-    return 0.5 * abs(up / L - um / L)
+    return float(_kernels.thermal(up, um, d.size_L)[5])
 
 
 def radius_along_flow(r0: float, t: float, L: float) -> float:
     """Centered radius of the orbit through (r0, -r0) after parameter t.
 
-    r(t) = r0 / ((1 - r0^2/L^2) sinh^2(t/2) + 1); even in t, fixed at
-    both r0 = 0 and r0 = L.
+    r(t) = r0 / (q sinh^2(t/2) + 1) with q = (1 - r0/L)(1 + r0/L); even in
+    t, fixed at both r0 = 0 and r0 = L, and finite for every finite t.
     """
-    if not L > 0.0:
-        raise OutOfRange(f"L must be positive, got {L!r}")
+    if not 0.0 < L < math.inf:
+        raise OutOfRange(f"L must be positive and finite, got {L!r}")
     if not 0.0 <= r0 <= L:
         raise OutOfRange(f"r0 must lie in [0, L], got {r0!r}")
-    sh = math.sinh(0.5 * t)
-    v = r0 / L
-    return r0 / ((1.0 - v * v) * sh * sh + 1.0)
+    if not math.isfinite(t):
+        raise OutOfRange(f"t must be finite, got {t!r}")
+    q = (L - r0) / L * (1.0 + r0 / L)  # L - r0 is exact near r0 = L
+    if q == 0.0 or r0 == 0.0:
+        return r0
+    s = 0.5 * abs(t)
+    if s <= 350.0:
+        sh = math.sinh(s)
+        return r0 / (q * sh * sh + 1.0)
+    # Here q sinh^2 s = q e^(2s)/4 dwarfs 1; logarithms keep r0/q and
+    # e^(-2s) in range until the result itself leaves it.
+    return math.exp(math.log(r0) - math.log(q) + math.log(4.0) - 2.0 * s)
 
 
 def agreement_window(delta_r: float, L: float, tol: float) -> float:
@@ -180,8 +140,11 @@ def relative_entropy(p: FourMomentum, z: NullRadialCoords, d: DiamondSpec) -> fl
     """Relative-entropy pairing 2 pi P.beta for a localized excitation.
 
     P.beta = p0 beta^0 - vec p . vec beta with the tangent beta of the
-    diamond flow at z; linear in p, zero when beta vanishes.
+    diamond flow at z; in null components 2 pi P.beta =
+    pi ((p0 - p_axis) beta+ + (p0 + p_axis) beta-).  Linear in p, zero when
+    beta vanishes, and defined on the closed diamond.
     """
-    bt, bs, axis = _beta_vector(z, d)
-    spatial = bs * (p.p1 * axis[0] + p.p2 * axis[1] + p.p3 * axis[2])
-    return _TWO_PI * (p.p0 * bt - spatial)
+    beta_p, beta_m = beta_field(z, d)
+    axis = require_interior_null(z, d, margin=0.0)[2]
+    p_axis = p.p1 * axis[0] + p.p2 * axis[1] + p.p3 * axis[2]
+    return math.pi * ((p.p0 - p_axis) * beta_p + (p.p0 + p_axis) * beta_m)

@@ -1,6 +1,12 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and mpmath references for the test suite.
+
+Each reference evaluates one closed form of the package at 40 significant
+digits: the diamond orbit u(t), the temperature from the rapidities, the
+thermal set in v = u/L form and the wedge boost.
+"""
 
 import numpy as np
+import pytest
 
 from diamondflow.geometry import DiamondSpec, NullRadialCoords, null_from_centered
 
@@ -24,3 +30,45 @@ def interior_points(rng, n, d: DiamondSpec, cap=0.9):
 
 def max_coord_diff(p, q):
     return max(abs(p.x0 - q.x0), abs(p.x1 - q.x1), abs(p.x2 - q.x2), abs(p.x3 - q.x3))
+
+
+# ------------------------------------------------------- mpmath references
+
+def mpmath40():
+    """mpmath working at 40 significant digits; skips the test without it."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    return mpmath
+
+
+def orbit_ref(u, t, L):
+    """Diamond orbit u(t) = L tanh(atanh(u/L) + t/2) of a centered null coordinate."""
+    mp = mpmath40()
+    L = mp.mpf(L)
+    return L * mp.tanh(mp.atanh(mp.mpf(u) / L) + mp.mpf(t) / 2)
+
+
+def temperature_ref(rho_plus, rho_minus, L):
+    """T = cosh rho+ cosh rho- / (pi L) from the rapidities."""
+    mp = mpmath40()
+    return mp.cosh(rho_plus) * mp.cosh(rho_minus) / (mp.pi * mp.mpf(L))
+
+
+def thermal_ref(u_plus, u_minus, L):
+    """beta_pm, ||beta||, T, a and r/L of a centered pair, from v = u/L."""
+    mp = mpmath40()
+    L = mp.mpf(L)
+    vp, vm = mp.mpf(u_plus) / L, mp.mpf(u_minus) / L
+    qp, qm = 1 - vp * vp, 1 - vm * vm
+    root = mp.sqrt(qp * qm)
+    return {"beta_plus": L * qp / 2, "beta_minus": L * qm / 2, "beta_norm": L * root / 2,
+            "T": 1 / (mp.pi * L * root), "a": abs(vp - vm) / (L * root),
+            "ratio": abs(vp - vm) / 2}
+
+
+def wedge_ref(x0, x1, apex, t):
+    """(x0, x1) boosted by t about x1 = apex: x0 cosh t + (x1 - apex) sinh t, ..."""
+    mp = mpmath40()
+    x0, apex, t = mp.mpf(x0), mp.mpf(apex), mp.mpf(t)
+    rel = mp.mpf(x1) - apex
+    return x0 * mp.cosh(t) + rel * mp.sinh(t), apex + rel * mp.cosh(t) + x0 * mp.sinh(t)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _helpers import mpmath40, orbit_ref, temperature_ref, thermal_ref
 from diamondflow.cli import MAX_OUTPUT_ROWS, _build_parser, _check_shade, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
@@ -62,11 +63,14 @@ _SHA256_PINS = [
      "1cd8005963ef34b66f22ca90c3024175c94f9407854034ac67c897a034fdccfc"),
     ("plot --start 0.5,-0.5 --start=0.2,-0.7 --t=-8:8:20001 --hyperbola-w 0.4",
      "3936e9fc45d7be79b8ede64f70e7402affde0c5e1bd76110b75d80e4daee5084"),
-    # Recorded before traj and plot read their orbits from sample_trajectory.
+    # Recorded after the wedge boost moved to null-coordinate displacements;
+    # every cell that moved is closer to mpmath at 40 digits than the worst
+    # cell of its column was before.
     ("traj --region wedge --apex 0.3 --start=1.7,-0.9 --t=-3:3:2001",
-     "60d1032464af375360e87b2532f585f9970dbed79bec3696b886f864bda178be"),
+     "d8a66dc51c3ee20d09bd1d9eecabcf9ac43c3ed49e70754f57a9a871da2f1465"),
     ("traj --region wedge --start=0.7,-1.3 --t=-30:30:601 --format json",
-     "0a7ec55318742c7b335c730d30d1c037a4d015827ac21dde4e333f8f8c883df8"),
+     "39ccb907474eccf3753f3d8c976441712151d2f941922b387e9004d91070e44c"),
+    # Recorded before traj and plot read their orbits from sample_trajectory.
     ("plot --region wedge --apex=-0.2 --start=1,-1 --start=2.5,-0.5 --t=-2:2:4001 --hyperbola-w 1",
      "651efa5b5b23e9ee8b0f1c15c45131bc4385c0ca42d62a428f83c8e518a253e8"),
     ("traj --L 0.7 --L1 2.5e6 --start=2500000.4,-2500000.2 --t=-40:40:4001",
@@ -218,44 +222,34 @@ def _near(printed, exact, rel=0.0, slack=0.0):
 
 
 def _check_traj(text, L, start):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    L = mp.mpf(L)
+    mp = mpmath40()
     rho0 = [mp.atanh(mp.mpf(u) / L) for u in start]
     a = abs(mp.sinh(rho0[0] - rho0[1])) / L
     for row in _rows(text):
-        rho = [r + mp.mpf(row["t"]) / 2 for r in rho0]
-        for col, r in (("z_plus", rho[0]), ("z_minus", rho[1])):
-            assert _near(row[col], L * mp.tanh(r), slack=8 * 2.0 ** -52 * float(L))
-        T = mp.cosh(rho[0]) * mp.cosh(rho[1]) / (mp.pi * L)
+        for col, u in zip(("z_plus", "z_minus"), start):
+            assert _near(row[col], orbit_ref(u, row["t"], L), slack=8 * 2.0 ** -52 * L)
+        T = temperature_ref(*(r + mp.mpf(row["t"]) / 2 for r in rho0), L)
         assert _near(row["T"], T, rel=1e-13), (row, T)
         assert _near(row["a"], a, rel=1e-13), (row, a)
 
 
 def _check_field(text, L, grid):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     axis = np.linspace(-L + 1e-3 * L, L - 1e-3 * L, grid)
     pairs = [(p, m) for p in axis for m in axis if p >= m]
     rows = _rows(text)
     assert len(rows) == len(pairs)
     for row, (up, um) in zip(rows, pairs):
-        vp, vm = mp.mpf(up) / L, mp.mpf(um) / L
-        root = mp.sqrt((1 - vp * vp) * (1 - vm * vm))
-        want = {"beta_plus": L * (1 - vp * vp) / 2, "beta_minus": L * (1 - vm * vm) / 2,
-                "T": 1 / (mp.pi * L * root), "a": abs(vp - vm) / (L * root),
-                "ratio": abs(vp - vm) / 2}
-        for col, value in want.items():
-            assert _near(row[col], value, rel=4e-16), (row, col, value)
+        want = thermal_ref(up, um, L)
+        for col in ("beta_plus", "beta_minus", "T", "a", "ratio"):
+            assert _near(row[col], want[col], rel=4e-16), (row, col, want[col])
 
 
 def _check_limits_scan(text, L, r):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
+    mp = mpmath40()
     rows = _rows(text)
     for row in rows:
         t = mp.mpf(row["t"])
-        exact = [L * mp.tanh(mp.atanh(mp.mpf(u) / L) + t / 2) for u in (r, -r)]
+        exact = [orbit_ref(u, t, L) for u in (r, -r)]
         limit = [L * t / 2 + r, L * t / 2 - r]
         for col, value in zip(("exact_plus", "exact_minus", "limit_plus", "limit_minus"),
                               exact + limit):
@@ -270,8 +264,7 @@ def _check_limits_scan(text, L, r):
 
 
 def _check_regime(text, L, t_max, grid, tol=0.01):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
+    mp = mpmath40()
     radii = L - L * 10.0 ** np.linspace(0.0, -6.0, grid + 2)[1:-1]
     rows = _rows(text)
     assert len(rows) == grid
@@ -279,7 +272,7 @@ def _check_regime(text, L, t_max, grid, tol=0.01):
         worst = 0
         for t in np.linspace(0.0, t_max, 33):
             for u, shift in ((r, r), (-r, -r)):
-                exact = L * mp.tanh(mp.atanh(mp.mpf(u) / L) + mp.mpf(t) / 2)
+                exact = orbit_ref(u, t, L)
                 worst = max(worst, abs(exact - (L * mp.mpf(t) / 2 + shift))
                             / max(abs(exact), 1e-12 * L))
         assert _near(row["r"], r) and _near(row["ratio"], r / L)

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import interior_pairs, interior_points, max_coord_diff
+from _helpers import (
+    interior_pairs,
+    interior_points,
+    max_coord_diff,
+    mpmath40,
+    temperature_ref,
+    wedge_ref,
+)
+from diamondflow import _kernels
 from diamondflow.errors import (
     OutOfRange,
     OutOfRegion,
@@ -33,9 +41,11 @@ from diamondflow.geometry import (
     null_from_centered,
     wedge_to_diamond,
 )
+from diamondflow.thermo import acceleration_at
 
 UNIT = DiamondSpec(1.0, 0.0)
 WEDGE = WedgeSpec(0.0)
+EPS = 2.0 ** -52
 
 
 # ----------------------------------------------------------------- wedge flow
@@ -76,7 +86,50 @@ def test_wedge_flow_overflow_is_out_of_range():
         with pytest.raises(OutOfRange):
             wedge_flow(SpacetimePoint(0, 1), t, WEDGE)
     q = wedge_flow(SpacetimePoint(0, 1), 700.0, WEDGE)
-    assert type(q.x0) is float and q.x1 == math.cosh(700.0)
+    want = wedge_ref(0.0, 1.0, 0.0, 700.0)
+    assert type(q.x0) is float and type(q.x1) is float
+    assert abs(q.x0 - want[0]) <= 4 * EPS * want[0] and abs(q.x1 - want[1]) <= 4 * EPS * want[1]
+
+
+def test_wedge_flow_matches_mpmath():
+    # Within 1e-13 of the point's size max(|x0|, |x1 - apex|) for
+    # x1 - apex in [e^-3, e^3], |x0| < 0.999 (x1 - apex) and |t| <= 30.
+    # One start in four sits near the edge its orbit leaves from, where
+    # evaluating x0 cosh t + (x1 - apex) sinh t cancels to errors of 3e-13.
+    rng = np.random.default_rng(71)
+    n = 4000
+    rel = np.exp(rng.uniform(-3.0, 3.0, n))
+    t = rng.uniform(-30.0, 30.0, n)
+    x0 = rng.uniform(-0.999, 0.999, n) * rel
+    edge = np.arange(n) % 4 == 0
+    x0[edge] = -np.sign(t[edge]) * 0.999 * rel[edge] * (1.0 - 1e-3 * rng.uniform(0.0, 1.0, edge.sum()))
+    worst = 0.0
+    for k in range(n):
+        q = wedge_flow(SpacetimePoint(x0[k], rel[k]), t[k], WEDGE)
+        w0, w1 = wedge_ref(x0[k], rel[k], 0.0, t[k])
+        err = max(abs(q.x0 - w0), abs(q.x1 - w1)) / max(abs(w0), abs(w1))
+        worst = max(worst, float(err))
+    assert worst <= 1e-13, worst
+
+
+def test_wedge_group_law_long():
+    # wedge_orbit(wedge_orbit(x, s), t) = wedge_orbit(x, s + t) for
+    # |s|, |t| <= 30, up to the rounding of the midpoint, which the second
+    # boost stretches by up to e^|t|, and of s + t.  The midpoint itself
+    # may round onto the light cone, so this runs on the kernel that
+    # wedge_flow calls.
+    rng = np.random.default_rng(73)
+    for _ in range(2000):
+        apex = float(rng.choice([0.0, 1.5, -0.7]))
+        rel = math.exp(rng.uniform(-3.0, 3.0))
+        x0, x1 = rng.uniform(-0.999, 0.999) * rel, apex + rel
+        s, t = rng.uniform(-30.0, 30.0, 2)
+        once = _kernels.wedge_orbit(x0, x1, apex, s + t)[:2]
+        mid = _kernels.wedge_orbit(x0, x1, apex, s)[:2]
+        twice = _kernels.wedge_orbit(*mid, apex, t)[:2]
+        size = [max(abs(p[0]), abs(p[1]), abs(p[1] - apex)) for p in (mid, once)]
+        bound = 4 * EPS * (math.exp(abs(t)) * size[0] + (1.0 + abs(s + t)) * size[1])
+        assert max(abs(once[0] - twice[0]), abs(once[1] - twice[1])) <= bound, (x0, x1, apex, s, t)
 
 
 # --------------------------------------------------------------- diamond flow
@@ -328,6 +381,21 @@ def test_trajectory_type_invariants():
             traj.t_values = traj.t_values[::-1]
 
 
+def test_diamond_flow_matches_trajectory_bits():
+    # diamond_flow and sample_trajectory share _kernels.diamond_orbit, so
+    # each sample is the same double, for centered and translated diamonds
+    # with L across 200 decades.
+    rng = np.random.default_rng(67)
+    for L in 10.0 ** rng.uniform(-100.0, 100.0, 12):
+        for L1 in (0.0, 0.7 * L, -2.5 * L):
+            d = DiamondSpec(L, L1)
+            for z in interior_points(rng, 3, d, cap=0.99):
+                traj = sample_trajectory(z, -12.0, 12.0, 49, d)
+                for k, t in enumerate(traj.t_values):
+                    q = diamond_flow(z, float(t), d)
+                    assert (q.z_plus, q.z_minus) == (traj.z_plus[k], traj.z_minus[k]), (L, L1, t)
+
+
 def test_sample_trajectory_endpoints_only():
     traj = sample_trajectory(NullRadialCoords(0.0, 0.0), -1.0, 1.0, 2, UNIT)
     assert isinstance(traj, Trajectory)
@@ -417,16 +485,14 @@ def test_trajectory_temperature_matches_mpmath(L, t_max):
     # T = cosh rho+ cosh rho- / (pi L) is read from the rapidities, so it
     # holds where the rounded u(t) sits on a face and
     # diamond_temperature(diamond_flow(z, t, d), d) raises (t >~ 23).
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
+    mpmath = mpmath40()
     d = DiamondSpec(L)
     for start in ((0.3, -0.5), (0.9, 0.9), (-0.2, -0.99)):
         z = NullRadialCoords(start[0] * L, start[1] * L)
         traj = sample_trajectory(z, -t_max, t_max, 121, d)
         rho = [mpmath.atanh(mpmath.mpf(u) / L) for u in (z.z_plus, z.z_minus)]
         for t, T in zip(traj.t_values, traj.temperature()):
-            want = (mpmath.cosh(rho[0] + mpmath.mpf(t) / 2)
-                    * mpmath.cosh(rho[1] + mpmath.mpf(t) / 2) / (mpmath.pi * L))
+            want = temperature_ref(*(r + mpmath.mpf(t) / 2 for r in rho), L)
             # Each rapidity carries the rounding of u/L, amplified by
             # 1/(1 - v^2), and those of atanh and of the sum rho + t/2.
             drho = sum(1 / (1 - v * v) + 2 * abs(float(r)) + abs(t) / 2
@@ -450,6 +516,30 @@ def test_proper_acceleration_wedge():
     for w in (0.5, 1.0, 2.0):
         a = proper_acceleration(SpacetimePoint(0, w), WEDGE)
         assert abs(a - 1.0 / w) < 1e-6 / w
+
+
+def test_proper_acceleration_scale_free():
+    # a(2^k x) = 2^-k a(x) exactly: the step, the division by it and the
+    # Minkowski norm are free of h*h and of squared coordinates, which left
+    # the float range at L = 1e200 and 1e-200.  k is even, so the wedge's
+    # square roots scale exactly too.
+    diamond = (NullRadialCoords(0.3, -0.5), DiamondSpec(1.0))
+    translated = (NullRadialCoords(0.9, -0.1), DiamondSpec(1.0, 0.4))
+    a_d, a_t = (proper_acceleration(z, d) for z, d in (diamond, translated))
+    a_w = proper_acceleration(SpacetimePoint(0.2, 1.1), WedgeSpec(0.3))
+    for k in range(-600, 601, 40):
+        s = 2.0 ** k
+        for (z, d), a in ((diamond, a_d), (translated, a_t)):
+            zs = NullRadialCoords(s * z.z_plus, s * z.z_minus)
+            assert proper_acceleration(zs, DiamondSpec(s * d.size_L, s * d.translation_L1)) * s == a
+        ws = proper_acceleration(SpacetimePoint(0.2 * s, 1.1 * s), WedgeSpec(0.3 * s))
+        assert ws * s == a_w, k
+    for L in (1e200, 1e-200):
+        z = NullRadialCoords(0.3 * L, -0.5 * L)
+        want = acceleration_at(z, DiamondSpec(L))
+        assert abs(proper_acceleration(z, DiamondSpec(L)) - want) < 1e-4 * want
+    for w in (1e200, 1e-200):
+        assert abs(proper_acceleration(SpacetimePoint(0.0, w), WEDGE) * w - 1.0) < 1e-6
 
 
 def test_proper_acceleration_constant_along_orbit():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _helpers import interior_pairs, interior_points
+from _helpers import interior_pairs, interior_points, mpmath40, thermal_ref
+from diamondflow import _kernels
 from diamondflow.errors import NonpositiveAcceleration, OutOfRange, OutOfRegion
-from diamondflow.flow import diamond_flow, proper_acceleration
+from diamondflow.flow import diamond_flow, proper_acceleration, proper_time_rate
 from diamondflow.geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -26,6 +27,7 @@ from diamondflow.thermo import (
 
 UNIT = DiamondSpec(1.0, 0.0)
 TWO_PI = 2.0 * math.pi
+EPS = 2.0 ** -52
 
 
 # ------------------------------------------------------------------ beta field
@@ -50,6 +52,43 @@ def test_beta_scaled_example():
 def test_beta_outside_rejected():
     with pytest.raises(OutOfRegion):
         beta_field(NullRadialCoords(1.5, 0.0), UNIT)
+
+
+def test_scalar_api_matches_kernel_bits():
+    # The scalar API and the field kernel share _kernels.thermal, so every
+    # value is the same double, for L across 200 decades; beta also on the
+    # closed boundary, where neither beta_field nor relative_entropy may
+    # evaluate T's division.  The kernel itself is pinned against mpmath.
+    rng = np.random.default_rng(61)
+    for L in 10.0 ** rng.uniform(-100.0, 100.0, 40):
+        d = DiamondSpec(L)
+        pairs = interior_pairs(rng, 25, L, cap=0.999)
+        up, um = pairs[:, 0], pairs[:, 1]
+        bp, bm, norm, T, a, ratio = _kernels.thermal(up, um, L)
+        for k in range(len(pairs)):
+            z = NullRadialCoords(up[k], um[k])
+            s = diamond_temperature(z, d)
+            got = (*s.beta_null, s.beta_norm, s.temperature, s.acceleration,
+                   proper_time_rate(z, d), temperature_ratio(z, d), *beta_field(z, d))
+            assert all(type(v) is float for v in got)
+            assert got == (bp[k], bm[k], norm[k], T[k], a[k], norm[k], ratio[k], bp[k], bm[k])
+        for k in range(3):
+            w = thermal_ref(up[k], um[k], L)
+            q = min(1.0 - (up[k] / L) ** 2, 1.0 - (um[k] / L) ** 2)
+            for name, value in (("beta_plus", bp[k]), ("beta_minus", bm[k]),
+                                ("beta_norm", norm[k]), ("T", T[k])):
+                assert abs(value - w[name]) <= 4 * EPS / q * w[name], (L, k, name)
+            assert abs(ratio[k] - w["ratio"]) <= 2 * EPS
+            assert abs(a[k] - w["a"]) <= 4 * EPS / q * w["a"] + 4 * math.pi * EPS * w["T"]
+        edge_p = np.array([L, L, up[0], L])
+        edge_m = np.array([um[0], -L, -L, L])
+        want_p = _kernels.null_beta(edge_p, L)[2]
+        want_m = _kernels.null_beta(edge_m, L)[2]
+        for k in range(edge_p.size):
+            z = NullRadialCoords(edge_p[k], edge_m[k])
+            with np.errstate(all="raise"):
+                assert beta_field(z, d) == (want_p[k], want_m[k])
+                assert math.isfinite(relative_entropy(FourMomentum(1.0, 0.5, 0.2), z, d))
 
 
 def test_beta_translated():
@@ -275,9 +314,40 @@ def test_radius_along_flow_validation():
         radius_along_flow(1.1, 0.0, 1.0)
     with pytest.raises(OutOfRange):
         radius_along_flow(0.5, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            radius_along_flow(0.5, bad, 1.0)
+    with pytest.raises(OutOfRange):
+        radius_along_flow(0.5, 1.0, math.inf)
 
 
-@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-20, max_value=20))
+def test_radius_along_flow_matches_mpmath():
+    # r(t) = r0 / ((1 - r0^2/L^2) sinh^2(t/2) + 1) is finite for every
+    # finite t: r0 on the fixed point r0 = L, else the true value, which is
+    # still 6.5e-293 at |t| = 1420 for r0 one ulp below L = 1.8e308.
+    mp = mpmath40()
+    big = 1.7976931348623157e308
+    assert radius_along_flow(1.0, 2000.0, 1.0) == 1.0
+    assert radius_along_flow(big, -1e308, big) == big
+    rng = np.random.default_rng(57)
+    cases = [(0.5, 2000.0, 1.0), (math.nextafter(big, 0.0), 1420.0, big)]
+    for _ in range(600):
+        L = 10.0 ** rng.uniform(-300.0, 300.0)
+        near = 1.0 - 2.0 ** -float(rng.integers(1, 53))
+        r0 = L * (rng.uniform(0.0, 1.0) if rng.integers(2) else near)
+        t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.3)
+        cases.append((min(r0, L), t, L))
+    for r0, t, L in cases:
+        r = radius_along_flow(r0, t, L)
+        v = mp.mpf(r0) / L
+        want = r0 / ((1 - v) * (1 + v) * mp.sinh(mp.mpf(t) / 2) ** 2 + 1)
+        # The tail is exp of a logarithm of size ~|t|, so the error grows
+        # with |t|; below the normal range only the spacing 2^-1074 is left.
+        assert abs(r - want) <= EPS * (abs(t) + 64) * want + 2.0 ** -1074, (r0, t, L)
+    assert 6.4e-293 < radius_along_flow(math.nextafter(big, 0.0), 1420.0, big) < 6.6e-293
+
+
+@given(st.floats(min_value=0.0, max_value=1.0), st.floats(allow_nan=False, allow_infinity=False))
 def test_radius_along_flow_bounded_and_even(r0, t):
     r = radius_along_flow(r0, t, 1.0)
     assert 0.0 <= r <= r0 + 1e-15
