@@ -1,9 +1,14 @@
-"""Array text kernels: `%.12e`, `%.4f` and `%d` cells, byte-identical to `%`.
+"""Array text kernels: `%.12e`, `%.4f` and `%d` cells, byte-identical to `%`,
+and "json" cells, byte-identical to `repr(float("%.12e" % v))`.
 
 A cell is uint32 words of ASCII from tables, filler bytes (0) where the text is
 shorter; digits come from `rint(|x| * 10**p)`.  Python's `%` formats a value
 within 2**-50 of a tie (the product errs by at most 2**-52), a `%.12e` magnitude
 outside zero and [1e-296, DBL_MAX], `%.4f` from 9999 and `%d` outside [0, 9999].
+A json cell re-lays the 13 digits of `%.12e`: a decimal of at most 15
+significant digits survives the round trip through a normal double, so repr
+gives back those digits without their trailing zeros.  Zero and whatever
+`%.12e` leaves to `%` go through repr itself.
 """
 
 import numpy as np
@@ -34,14 +39,21 @@ def _far_from_tie(m):
     return np.abs(m - np.floor(m) - 0.5) > 2.0 ** -50 * m
 
 
+def _cells(*words):  # words broadcast together; x.shape + (4 * len(words),) bytes
+    return np.stack(np.broadcast_arrays(*words), -1).view(np.uint8)
+
+
 def _fixed(x):
     y = np.fmin(np.abs(x), 9999.0) * 1e4
     q = np.rint(y).astype(np.int64)
     ok = (np.abs(x) < 9999.0) & _far_from_tie(y)
-    return (np.where(np.signbit(x), _MINUS, 0), _BLANK[q // 10_000], _DOT, _QUAD[q % 10_000]), ok
+    return _cells(np.where(np.signbit(x), _MINUS, 0), _BLANK[q // 10_000], _DOT, _QUAD[q % 10_000]), ok
 
 
-def _sci(x):
+def _digits(x):
+    """Sign, 13 significant digits q, exponent e and ok mask of `%.12e`.
+
+    q and e are 0 at zero and where not ok."""
     a = np.abs(x)
     b = np.where((a >= 1e-296) & (a < np.inf), a, 1.0)
     e = np.clip(np.floor(np.log10(b)).astype(np.int64), _E_MIN, _E_MAX)
@@ -52,19 +64,74 @@ def _sci(x):
     ok = ((m >= 1e12) & (q <= 1e13) & (a == b) | (a == 0.0)) & _far_from_tie(m)
     carry, keep = q == 1e13, ok & (a != 0.0)
     q = np.where(keep, np.where(carry, 1e12, q), 0).astype(np.int64)
-    return (_LEAD[100 * np.signbit(x) + q // 10 ** 11], _QUAD[q // 10 ** 7 % 10_000],
-            _QUAD[q // 1000 % 10_000], _TAIL[q % 1000], _EXP[np.where(keep, e + carry, 0) - _E_MIN]), ok
+    return np.signbit(x), q, np.where(keep, e + carry, 0), ok
+
+
+def _sci(x):
+    neg, q, e, ok = _digits(x)
+    return _cells(_LEAD[100 * neg + q // 10 ** 11], _QUAD[q // 10 ** 7 % 10_000],
+                  _QUAD[q // 1000 % 10_000], _TAIL[q % 1000], _EXP[e - _E_MIN]), ok
+
+
+# A json cell is 20 bytes gathered from 24 source bytes: the 13 digits, "-",
+# ".", "0", the exponent ("+308", "-05" with filler), "e" and filler, through
+# one layout per sign, exponent class (-4..15 positional, 20 the e form) and
+# significant-digit count k (1..13).
+_NEG, _POINT, _ZERO, _EXPONENT, _E, _FILL = 13, 14, 15, 16, 20, 21
+_UNIT = _words(_DIGITS[:10, 3], ord("-"), ord("."), ord("0"))
+_E_FILL = _words(ord("e"), 0, 0, 0)
+
+
+def _layout(neg, e, k):
+    d = list(range(k))
+    if e is None:     # 1.5e-05, 1e+16
+        body = d[:1] + [_POINT] * (k > 1) + d[1:] + [_E, *range(_EXPONENT, _EXPONENT + 4)]
+    elif e < 0:       # 0.00015
+        body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + d
+    else:             # 15.0, 1.5
+        body = d[:e + 1] + [_ZERO] * (e + 1 - k) + [_POINT] + (d[e + 1:] or [_ZERO])
+    text = [_NEG] * neg + body
+    return text + [_FILL] * (20 - len(text))
+
+
+_LAYOUT = np.array([_layout(neg, e, k) for neg in (0, 1)
+                    for e in (*range(-4, 16), None) for k in range(1, 14)], dtype=np.intp)
+_n = np.arange(10_000)
+_TRAILING = sum(_n % 10 ** j == 0 for j in range(1, 4))  # trailing zeros of 1..9999
+
+
+def _repr(x):
+    neg, q, e, ok = _digits(x)
+    b0, b1, b2, b3 = q // 10 ** 9, q // 10 ** 5 % 10_000, q // 10 % 10_000, q % 10
+    src = _cells(_QUAD[b0], _QUAD[b1], _QUAD[b2], _UNIT[b3], _EXP[e - _E_MIN], _E_FILL)
+    # Trailing zeros of the digits (b0 >= 1000); zero and the cells left to
+    # repr get some layout, which the fallback overwrites.
+    zeros = np.where(b3, 0, 1 + np.where(b2, _TRAILING[b2], 4 + np.where(
+        b1, _TRAILING[b1], 4 + _TRAILING[b0])))
+    cls = np.where((e >= -4) & (e < 16), e + 4, 20)
+    rows = 24 * np.arange(q.size).reshape(*q.shape, 1)
+    return src.reshape(-1)[rows + _LAYOUT[(21 * neg + cls) * 13 + 12 - zeros]], ok & (q != 0)
+
+
+_KERNELS = {
+    "%.12e": (_sci, "%.12e".__mod__),
+    "%.4f": (_fixed, "%.4f".__mod__),
+    "%d": (lambda n: (_cells(_BLANK[np.clip(n, 0, 9999)]), (n >= 0) & (n < 10_000)), "%d".__mod__),
+    "json": (_repr, lambda v: repr(float("%.12e" % v))),
+}
 
 
 def cells(x: np.ndarray, spec: str) -> np.ndarray:
-    """ASCII cells, shape x.shape + (width,), of `spec % v` for each v in x."""
-    words, ok = {"%.12e": _sci, "%.4f": _fixed,
-                 "%d": lambda n: ((_BLANK[np.clip(n, 0, 9999)],), (n >= 0) & (n < 10_000))}[spec](x)
-    out = np.stack(np.broadcast_arrays(*words), -1).view(np.uint8)
+    """ASCII cells, shape x.shape + (width,), of `spec % v` for each v in x.
+
+    spec is "%.12e", "%.4f", "%d" or "json", the JSON number repr(float("%.12e" % v)).
+    """
+    kernel, fmt = _KERNELS[spec]
+    out, ok = kernel(x)
     miss = np.flatnonzero(~ok)
     if miss.size:
         # numpy pads bytes strings with NUL, the filler byte.
-        text = np.array([(spec % v).encode() for v in x.ravel()[miss].tolist()])
+        text = np.array([fmt(v).encode() for v in x.ravel()[miss].tolist()])
         flat = np.zeros((x.size, max(out.shape[-1], text.itemsize)), np.uint8)
         flat[:, :out.shape[-1]] = out.reshape(x.size, -1)
         flat.view(f"S{flat.shape[1]}")[miss, 0] = text

@@ -5,14 +5,14 @@ Exit codes: 0 success, 2 invalid configuration (argparse's usage and
 message), 3 start or sample outside the region's domain, or a result that
 overflows or is not finite, 4 mode/spec mismatch.  All numeric output is
 fixed at %.12e so identical configurations produce byte-identical files;
-CSV and SVG text comes from the array kernels of `_text`, byte-identical
-to Python's `%`.
+CSV, JSON and SVG text comes from the array kernels of `_text`,
+byte-identical to Python's `%` and, for JSON numbers, to the repr of the
+%.12e value that `json.dumps` would write.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import cache, partial
@@ -39,14 +39,17 @@ MAX_OUTPUT_ROWS = 10_000_000
 def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
     """CSV or JSON text of equal-length columns, one row per element.
 
-    Float columns print as %.12e, with -0.0 written as 0.0; a column with
-    a non-finite value is OutOfRange (exit 3).  Boolean columns print as
-    0 and 1.
+    Float columns print as %.12e, with -0.0 written as 0.0, and in JSON as
+    the shortest repr of that value; a column with a non-finite value is
+    OutOfRange (exit 3).  Boolean columns print as 0 and 1.  JSON is one
+    object {"columns": names, "rows": [{name: value, ...}, ...]} followed by
+    the footer fields, laid out as `json.dumps` with separators (",", ":").
     """
     for name, col in zip(names, columns):
         if col.dtype != np.bool_ and not np.isfinite(col).all():
             raise OutOfRange(f"column {name} has a non-finite value")
-    columns = [(col.astype(np.int64), "%d") if col.dtype == np.bool_ else (col + 0.0, "%.12e")
+    float_spec = "%.12e" if fmt == "csv" else "json"
+    columns = [(col.astype(np.int64), "%d") if col.dtype == np.bool_ else (col + 0.0, float_spec)
                for col in columns]
     if fmt == "csv":
         row = [part for col, spec in columns for part in (",", cells(col, spec))]
@@ -54,12 +57,11 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
         if footer_text is not None:
             lines.append(footer_text)
         return "\n".join([*lines, ""])
-    values = [col.tolist() if spec == "%d" else [float(spec % x) for x in col.tolist()]
-              for col, spec in columns]
-    doc = {"columns": list(names), "rows": [dict(zip(names, r)) for r in zip(*values)]}
-    if footer_fields:
-        doc.update(footer_fields)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    row = [part for name, (col, spec) in zip(names, columns)
+           for part in (f',"{name}":', cells(col, spec))]
+    head = '{"columns":[' + ",".join(f'"{name}"' for name in names) + '],"rows":['
+    tail = "".join(f',"{key}":{value!r}' for key, value in (footer_fields or {}).items())
+    return head + join(["{" + row[0][1:], *row[1:], "}"], ",") + "]" + tail + "}\n"
 
 
 def _write(text: str, out: str | None) -> None:

@@ -76,8 +76,12 @@ def wedge_temperature(acceleration: float) -> float:
 def diamond_temperature(z: NullRadialCoords, d: DiamondSpec) -> TemperatureSample:
     """Full thermal sample at a strictly interior diamond point."""
     up, um, _ = require_interior_null(z, d)
-    beta_p, beta_m, norm, temperature, acceleration, _ = map(
+    beta_p, beta_m, norm, temperature, acceleration, ratio = map(
         float, _kernels.thermal(up, um, d.size_L))
+    if ratio == 0.0:
+        # The central orbit is a geodesic, also where T overflows (a subnormal
+        # L) and the kernel's 2 pi T r/L is inf * 0.
+        acceleration = 0.0
     return TemperatureSample(point=z, beta_null=(beta_p, beta_m), beta_norm=norm,
                              temperature=temperature, acceleration=acceleration)
 

@@ -2,12 +2,16 @@
 
 Each reference evaluates one closed form of the package at 40 significant
 digits: the diamond orbit u(t), the temperature from the rapidities, the
-thermal set in v = u/L form and the wedge boost.
+thermal set in v = u/L form and the wedge boost.  emit_json_reference is
+the CLI's JSON writer written with json.dumps, one dict per row.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from diamondflow.errors import OutOfRange
 from diamondflow.geometry import DiamondSpec, NullRadialCoords, null_from_centered
 
 
@@ -72,3 +76,20 @@ def wedge_ref(x0, x1, apex, t):
     x0, apex, t = mp.mpf(x0), mp.mpf(apex), mp.mpf(t)
     rel = mp.mpf(x1) - apex
     return x0 * mp.cosh(t) + rel * mp.sinh(t), apex + rel * mp.cosh(t) + x0 * mp.sinh(t)
+
+
+# ------------------------------------------------------ JSON reference writer
+
+def emit_json_reference(names, columns, fmt, footer_text=None, footer_fields=None):
+    """cli._emit's JSON output the plain way: each float rounded through
+    float("%.12e" % v), one dict per row, and json.dumps over the lot."""
+    assert fmt == "json"
+    for name, col in zip(names, columns):
+        if col.dtype != np.bool_ and not np.isfinite(col).all():
+            raise OutOfRange(f"column {name} has a non-finite value")
+    values = [col.astype(np.int64).tolist() if col.dtype == np.bool_
+              else [float("%.12e" % x) for x in (col + 0.0).tolist()] for col in columns]
+    doc = {"columns": list(names), "rows": [dict(zip(names, r)) for r in zip(*values)]}
+    if footer_fields:
+        doc.update(footer_fields)
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -10,13 +10,15 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import mpmath40, orbit_ref, temperature_ref, thermal_ref
+from _helpers import emit_json_reference, mpmath40, orbit_ref, temperature_ref, thermal_ref
+from diamondflow import cli
 from diamondflow.cli import MAX_OUTPUT_ROWS, _build_parser, _check_shade, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
@@ -371,6 +373,39 @@ def test_fuzz_argv_total(argv):
         code = main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert not _NONFINITE.search(out.getvalue()), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzz_json_matches_reference(argv):
+    # Every draw that writes a table, in JSON: the text kernels' layout
+    # against json.dumps over the same columns, byte for byte.
+    if argv[0] == "plot":
+        return
+    argv = [*argv[:-1], "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue() == _json_reference_stdout(argv), argv
+
+
+def _json_reference_stdout(argv):
+    """Stdout of main(argv) with the JSON written by emit_json_reference."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_emit", emit_json_reference), contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_large_json_matches_reference(capsys):
+    # 80,200 rows, a scan and a regime map with their footer fields.
+    for command in ("field --grid 400 --format json",
+                    "limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001 --format json",
+                    "limits --mode wedge --L 2 --L1 2 --grid 50 --t 0:3:2 --format json"):
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == _json_reference_stdout(command.split())
 
 
 # --------------------------------------------------------------- table content

@@ -249,6 +249,64 @@ def test_group_law():
         assert max_coord_diff(once, twice) < 1e-9 * max(1.0, abs(once.x0), abs(once.x1))
 
 
+def test_group_law_in_rapidity():
+    # The diamond flow is rho_pm -> rho_pm + t/2, so composing two flows of
+    # up to |t| = 300 lands on the single flow to rounding in rho, long
+    # after u itself has rounded onto the faces.
+    rng = np.random.default_rng(10)
+    for L in (1e-3, 1.0, 1e3):
+        up, um = interior_pairs(rng, 200, L, cap=0.99).T
+        s, t = rng.uniform(-300.0, 300.0, (2, 200))
+        once = _kernels._rapidities(up, um, L, s + t)
+        twice = [rho + 0.5 * t for rho in _kernels._rapidities(up, um, L, s)]
+        tol = 4 * EPS * (np.abs(s) + np.abs(t) + 3.0)
+        for direct, composed in zip(once, twice):
+            assert (np.abs(direct - composed) <= tol).all()
+        # The orbit columns are functions of rho alone, so T follows too.
+        for u_t, rho in zip(_kernels.diamond_orbit(up, um, L, s + t), once):
+            assert (u_t == L * np.tanh(rho)).all()
+        T = _kernels.orbit_temperature(up, um, L, s + t)
+        T_twice = np.cosh(twice[0]) * np.cosh(twice[1]) / (np.pi * L)
+        assert (np.abs(T / T_twice - 1.0) <= 2 * tol + 8 * EPS).all()
+
+
+def _kms_residual(tr):
+    """|lhs/rhs - 1| of (dx0 - dx1)(dx0 + dx1) pi^2 T(t) T(t') = sinh^2((t - t')/2)
+    over every pair of samples, and its rounding bound."""
+    t, x0, x1, T = tr.t_values, tr.x0, tr.x1, tr.temperature()
+    i, j = np.triu_indices(t.size, 1)
+    dx0, dx1, dt = x0[j] - x0[i], x1[j] - x1[i], t[j] - t[i]
+    lhs = (dx0 - dx1) * (dx0 + dx1) * np.pi ** 2 * T[i] * T[j]
+    residual = np.abs(lhs / np.sinh(0.5 * dt) ** 2 - 1.0)
+    # Each coordinate carries a rounding error of order EPS times the
+    # orbit's scale, so close pairs cancel in dx0 +- dx1, and t in dt.
+    scale = np.abs(x0).max() + np.abs(x1).max()
+    bound = 4 * EPS * (1.0 + scale / np.abs(dx0 + dx1) + scale / np.abs(dx0 - dx1)
+                       + np.abs(t).max() / dt)
+    return residual, bound
+
+
+def test_kms_identity_along_orbits():
+    # The interval between two samples of one orbit, in units of the local
+    # temperatures, is sinh^2 of half the modular time between them: the
+    # vacuum two-point function is KMS with period 2 pi in t.  Only the
+    # written t, x0, x1 and T columns enter.
+    rng = np.random.default_rng(12)
+    regions = [DiamondSpec(1e-3), DiamondSpec(1.0), DiamondSpec(1e3), DiamondSpec(1.0, 2.5),
+               DiamondSpec(1e-3, -4e-3), WedgeSpec(0.3)]
+    for region in regions:
+        for _ in range(4):
+            if isinstance(region, WedgeSpec):
+                rel = rng.uniform(0.2, 3.0)
+                start = SpacetimePoint(rng.uniform(-0.9, 0.9) * rel, region.apex_x1 + rel)
+            else:
+                up, um = interior_pairs(rng, 1, region.size_L)[0]
+                start = null_from_centered(up, um, (1.0, 0.0, 0.0), region)
+            residual, bound = _kms_residual(sample_trajectory(start, -6.0, 6.0, 49, region))
+            assert (residual <= bound).all(), (region, start)
+            assert np.median(residual) < 1e-14
+
+
 def test_conjugation_identity():
     # diamond_flow(t) = wedge_to_diamond . wedge_flow(t) . diamond_to_wedge
     rng = np.random.default_rng(17)

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diamondflow._text import _fixed, _sci, cells, join
+from diamondflow._text import _fixed, _repr, _sci, cells, join
+
+
+def _python(spec, v):
+    return repr(float("%.12e" % v)) if spec == "json" else spec % v
 
 
 def _check(values, spec):
     x = np.asarray(values)
     text = join([cells(x, spec)], "\n")
-    assert text.split("\n") == [spec % v for v in x.tolist()]
+    assert text.split("\n") == [_python(spec, v) for v in x.tolist()]
 
 
 _FINITE = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
@@ -24,6 +28,16 @@ def test_sci_matches_percent(values):
     x = np.array(values)
     _check(x, "%.12e")
     _check(x + 0.0, "%.12e")    # the CLI's -0.0 normalisation
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FINITE)
+@example([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([1e-4, 1e-5, 1e15, 1e16, 9999999999999999.0, 123.0, 0.5, -1.5e-05])
+def test_json_matches_repr(values):
+    x = np.array(values)
+    _check(x, "json")
+    _check(x + 0.0, "json")
 
 
 @settings(max_examples=400, deadline=None)
@@ -58,6 +72,30 @@ def test_sci_edge_values():
     _check([1e99, 9.99e99, 1.234e100, 1e100, 1e-99, 1.5e-99, 1e-100, 9.9e-101], "%.12e")
 
 
+def test_json_edge_values():
+    # Zero, subnormals and both sides of 1e-296, where %.12e leaves the kernel.
+    small = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+             1e-296, np.nextafter(1e-296, 0), np.nextafter(1e-296, 1), 1e-297, 1.0000000000001e-296]
+    # Where repr switches between positional and exponent form, and DBL_MAX.
+    borders = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e-5, 9.99999999999e-5,
+               1e15, 1e16, np.nextafter(1e16, 0), 9999999999999999.0, 9999999999999.5e3,
+               1.7976931348623157e308, 123.0, 0.1, 1.0, 10.0]
+    for values in (small, borders):
+        _check(values, "json")
+        _check(np.negative(values), "json")
+    # Every exponent, every significant-digit count, and mantissas that
+    # round up to 10**13 and carry into the next exponent.
+    digits = [float(f"{m}e{k}") for k in range(-300, 308)
+              for m in ("1", "1.5", "1.25", "1.234567", "1.234567890123", "9.9999999999995",
+                        "9.99999999999949", "9.999999999999951")]
+    _check(digits, "json")
+    _check(np.negative(digits), "json")
+    # Within 2**-50 of a rounding tie of the 13th digit, and one ulp beside it.
+    ties = np.array([1.2345678901235, 999999999999.5, 2.0000000000005e-3, 7.7777777777775e20])
+    near = [ties * (1.0 + s * 2.0 ** -51) for s in (-1.0, 1.0)]
+    _check(np.concatenate([ties, *near, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]), "json")
+
+
 def test_fixed_edge_values():
     # k/32 are the exact %.4f ties; both sides round half to even.
     ties = np.arange(-320, 321) / 32.0
@@ -72,6 +110,7 @@ def test_int_edge_values():
 
 def test_nonfinite_cells_fall_back():
     _check([np.inf, -np.inf, np.nan], "%.12e")
+    _check([np.inf, -np.inf, np.nan], "json")
     _check([np.inf, -np.inf, np.nan], "%.4f")
 
 
@@ -80,6 +119,8 @@ def test_kernels_leave_few_cells_to_percent():
     rng = np.random.default_rng(3)
     x = rng.normal(size=20_000) * 10.0 ** rng.uniform(-200, 200, 20_000)
     assert _sci(x)[1].mean() > 0.97
+    assert _repr(x)[1].mean() > 0.97
+    assert _repr(np.linspace(-8.0, 8.0, 1001))[1].mean() > 0.99
     assert _fixed(rng.uniform(-700.0, 700.0, 20_000))[1].mean() > 0.999
 
 
@@ -94,9 +135,9 @@ def test_join_rows_and_constant_text():
         "1.000000000000e+00 2.000000000000e+00")
 
 
-@pytest.mark.parametrize("spec", ["%.12e", "%.4f"])
+@pytest.mark.parametrize("spec", ["%.12e", "%.4f", "json"])
 def test_cells_keep_the_array_shape(spec):
     x = np.arange(24.0).reshape(2, 3, 4) - 11.5
     c = cells(x, spec)
     assert c.shape[:3] == x.shape and c.dtype == np.uint8
-    assert join([c.reshape(24, -1)], ",") == ",".join(spec % v for v in x.ravel().tolist())
+    assert join([c.reshape(24, -1)], ",") == ",".join(_python(spec, v) for v in x.ravel().tolist())

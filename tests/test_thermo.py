@@ -209,6 +209,18 @@ def test_acceleration_center_zero():
     assert acceleration_at(NullRadialCoords(0.0, 0.0), UNIT) == 0.0
 
 
+def test_acceleration_center_zero_where_temperature_overflows():
+    # For a subnormal L, T = 1/(pi L) overflows; the central geodesic still
+    # has a = 0, not 2 pi T * 0 = nan.
+    for L in (1e-310, 5e-324):
+        d = DiamondSpec(L)
+        sample = diamond_temperature(NullRadialCoords(0.0, 0.0), d)
+        assert sample.temperature == math.inf
+        assert sample.acceleration == 0.0
+        assert acceleration_at(NullRadialCoords(0.0, 0.0), d) == 0.0
+        assert not math.copysign(1.0, sample.acceleration) < 0.0
+
+
 def test_acceleration_translated_coincidence():
     # For L1 = sqrt(L^2 + w^2) the orbit through (0, w) matches the wedge
     # hyperbola with proper acceleration 1/w.
