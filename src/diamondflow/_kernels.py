@@ -8,9 +8,9 @@ leaves |u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
 from the rapidities, not from the rounded u(t).  wedge_orbit is the boost in
 null coordinates, global_null turns centered pairs into the global null and
 Cartesian columns, and thermal is the one source of the thermal quantities.
-rk4_diamond and rk4_wedge step the generator field in u coordinates with
-scalar RK4 loops and never consult the closed forms, so they stay an
-independent check.
+rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops,
+the diamond's in v = u/L coordinates for every L the float range holds, and
+never consult the closed forms, so they stay an independent check.
 """
 
 from __future__ import annotations
@@ -23,76 +23,72 @@ def _rapidities(u_plus, u_minus, size, t):
     return np.arctanh(u_plus / size) + s, np.arctanh(u_minus / size) + s
 
 
-def _rk4_diamond_loop(u_plus, u_minus, size, t, n_steps):
-    # Classical fixed-step RK4 for du/ds = (L^2 - u^2)/(2L), both null
-    # coordinates at once.  Every stage point must stay in |u| <= L.
-    h = t / n_steps
-    up = u_plus
-    um = u_minus
+def _rk4_null(u0, size, h, n_steps):
+    # RK4 on one null coordinate of rk4_diamond; u+ and u- evolve apart.
+    v = v0 = u0 / size
+    quarter, half = 0.25 * h, 0.5 * h
     for _ in range(n_steps):
-        if abs(up) > size or abs(um) > size:
-            return up, um, 1
-        k1p = (size * size - up * up) / (2.0 * size)
-        k1m = (size * size - um * um) / (2.0 * size)
-        ap = up + 0.5 * h * k1p
-        am = um + 0.5 * h * k1m
-        if abs(ap) > size or abs(am) > size:
-            return up, um, 1
-        k2p = (size * size - ap * ap) / (2.0 * size)
-        k2m = (size * size - am * am) / (2.0 * size)
-        bp = up + 0.5 * h * k2p
-        bm = um + 0.5 * h * k2m
-        if abs(bp) > size or abs(bm) > size:
-            return up, um, 1
-        k3p = (size * size - bp * bp) / (2.0 * size)
-        k3m = (size * size - bm * bm) / (2.0 * size)
-        cp = up + h * k3p
-        cm = um + h * k3m
-        if abs(cp) > size or abs(cm) > size:
-            return up, um, 1
-        k4p = (size * size - cp * cp) / (2.0 * size)
-        k4m = (size * size - cm * cm) / (2.0 * size)
-        up = up + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        um = um + h * (k1m + 2.0 * k2m + 2.0 * k3m + k4m) / 6.0
-    if abs(up) > size or abs(um) > size:
-        return up, um, 1
-    return up, um, 0
+        if v > 1.0 or v < -1.0:
+            break
+        k1 = (1.0 - v) * (1.0 + v)
+        a = v + quarter * k1
+        if a > 1.0 or a < -1.0:
+            break
+        k2 = (1.0 - a) * (1.0 + a)
+        b = v + quarter * k2
+        if b > 1.0 or b < -1.0:
+            break
+        k3 = (1.0 - b) * (1.0 + b)
+        c = v + half * k3
+        if c > 1.0 or c < -1.0:
+            break
+        v = v + half * (k1 + 2.0 * k2 + 2.0 * k3 + (1.0 - c) * (1.0 + c)) / 6.0
+    else:
+        return u0 + size * (v - v0), int(v > 1.0 or v < -1.0)
+    return u0 + size * (v - v0), 1
 
 
-def _rk4_wedge_loop(x0, x1_rel, t, n_steps):
-    # d(x0)/ds = x1_rel, d(x1_rel)/ds = x0; stages must stay in the
-    # closed wedge x1_rel >= |x0|.
-    h = t / n_steps
-    a = x0
-    b = x1_rel
-    for _ in range(n_steps):
-        if b < abs(a):
+def rk4_diamond(u_plus: float, u_minus: float, size: float, t: float, n_steps: int):
+    """Fixed-step RK4 along the diamond generator; returns (u+, u-, status).
+
+    Steps v = u/L with dv/ds = (1 - v)(1 + v)/2, the field's 1/2 folded into
+    the steps h/4 and h/2: RK4 commutes with u = L v, so this is the method
+    on du/ds = (L^2 - u^2)/(2L) without the L^2 that leaves the float range.
+    Every stage must stay in |v| <= 1, else status is 1.  Returns
+    u0 + L (v - v0), so t = 0 gives back the start exactly.
+    """
+    size, h = float(size), float(t) / int(n_steps)
+    (up, sp), (um, sm) = (_rk4_null(float(u), size, h, int(n_steps)) for u in (u_plus, u_minus))
+    return up, um, sp | sm
+
+
+def rk4_wedge(x0: float, x1_rel: float, t: float, n_steps: int):
+    """Fixed-step RK4 along the wedge boost generator; returns (x0, x1_rel, status).
+
+    d(x0)/ds = x1_rel, d(x1_rel)/ds = x0; every stage must stay in the
+    closed wedge x1_rel >= |x0|, else status is 1.
+    """
+    a, b = float(x0), float(x1_rel)
+    h = float(t) / int(n_steps)
+    half = 0.5 * h
+    for _ in range(int(n_steps)):
+        if b < a or b < -a:
             return a, b, 1
-        k1a = b
-        k1b = a
-        sa = a + 0.5 * h * k1a
-        sb = b + 0.5 * h * k1b
-        if sb < abs(sa):
+        sa = a + half * b
+        sb = b + half * a
+        if sb < sa or sb < -sa:
             return a, b, 1
-        k2a = sb
-        k2b = sa
-        ta_ = a + 0.5 * h * k2a
-        tb_ = b + 0.5 * h * k2b
-        if tb_ < abs(ta_):
+        ta = a + half * sb
+        tb = b + half * sa
+        if tb < ta or tb < -ta:
             return a, b, 1
-        k3a = tb_
-        k3b = ta_
-        ua = a + h * k3a
-        ub = b + h * k3b
-        if ub < abs(ua):
+        ua = a + h * tb
+        ub = b + h * ta
+        if ub < ua or ub < -ua:
             return a, b, 1
-        k4a = ub
-        k4b = ua
-        a = a + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        b = b + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
-    if b < abs(a):
-        return a, b, 1
-    return a, b, 0
+        a, b = (a + h * (b + 2.0 * sb + 2.0 * tb + ub) / 6.0,
+                b + h * (a + 2.0 * sa + 2.0 * ta + ua) / 6.0)
+    return a, b, int(b < a or b < -a)
 
 
 def diamond_orbit(u_plus, u_minus, size: float, t):
@@ -110,13 +106,20 @@ def diamond_orbit(u_plus, u_minus, size: float, t):
 def wedge_orbit(x0, x1, apex: float, t):
     """(x0, x1, z_plus, z_minus) of the point (x0, x1) boosted by t about x1 = apex.
 
-    t is a float or a float64 array.  The null coordinates
-    x_pm = x0 +- (x1 - apex) scale by e^(+-t), so they move by
+    x0, x1 and apex are floats, t is a float or a float64 array.  The null
+    coordinates x_pm = x0 +- (x1 - apex) scale by e^(+-t), so they move by
     d_pm = x_pm expm1(+-t): z_pm = x0 +- x1 move by d_pm and x0, x1 by
     (d+ +- d-)/2.  t = 0 returns the start exactly, and z_pm never cancel
-    the large x0 against x1 far along the orbit.  A result beyond the
-    float range is inf or nan, which the callers reject.
+    the large x0 against x1 far along the orbit.  A start whose x_pm
+    overflow is boosted at a quarter of its scale, exactly.  A result
+    beyond the float range is inf or nan, which the callers reject.
     """
+    if abs(x0) + abs(x1 - apex) == np.inf:
+        return tuple(4.0 * c for c in _boost(0.25 * x0, 0.25 * x1, 0.25 * apex, t))
+    return _boost(x0, x1, apex, t)
+
+
+def _boost(x0, x1, apex, t):
     rel = x1 - apex
     d_plus = (x0 + rel) * np.expm1(t)
     d_minus = (x0 - rel) * np.expm1(-t)
@@ -191,13 +194,3 @@ def thermal(u_plus, u_minus, size: float):
     return (beta_p, beta_m, 0.5 * size * root, temperature,
             2.0 * np.pi * temperature * ratio, ratio)
 
-
-def rk4_diamond(u_plus: float, u_minus: float, size: float, t: float, n_steps: int):
-    """Fixed-step RK4 along the diamond generator; returns (u+, u-, status)."""
-    return _rk4_diamond_loop(float(u_plus), float(u_minus), float(size),
-                             float(t), int(n_steps))
-
-
-def rk4_wedge(x0: float, x1_rel: float, t: float, n_steps: int):
-    """Fixed-step RK4 along the wedge boost generator; returns (x0, x1_rel, status)."""
-    return _rk4_wedge_loop(float(x0), float(x1_rel), float(t), int(n_steps))

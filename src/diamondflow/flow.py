@@ -17,8 +17,9 @@ which stays in the closed diamond for every t.  Translated diamonds
 reduce to the centered case by the coordinate shift in
 geometry.centered_null_pair, so translation covariance is exact by
 construction.  integrate_flow_rk4 is an independent check on the closed
-forms: it integrates the generator field in u coordinates with classical
-fixed-step RK4 and never consults the rapidity or boost formulas.
+forms: it integrates the generator field with classical fixed-step RK4, in
+v = u/L coordinates in a diamond, and never consults the rapidity or boost
+formulas.
 """
 
 from __future__ import annotations
@@ -187,68 +188,73 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
     return Trajectory(spec, start, ts, *cols)
 
 
+# Eight-node Gauss-Legendre on [0, t] with t appended as the node 1, and
+# halved weights that sum to 1, so the weighted sum cannot overflow.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_TAU_NODES = np.append(_GL_NODES, 1.0)
+_TAU_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def _tau_integral(rate, t: float) -> float:
-    # Gauss-Legendre on [0, t]; the integrand is smooth and the interval
-    # tiny, so eight nodes are far beyond the accuracy needed here.
-    half = 0.5 * t
-    acc = 0.0
-    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += wi * rate(half + half * xi)
-    return half * acc
-
-
-def _solve_tau(rate, target: float) -> float:
-    # Invert tau(t) = integral of the rate for the t with tau = target.
-    t = target / rate(0.0)
+def _solve_tau(rate):
+    # h = 1e-4 of the local dtau scale and the t with tau(t) = +-h, by
+    # Newton on the quadrature of the rate, one rate call per step for both
+    # signs; the nodes are summed in order, as a scalar loop sums them.
+    rate0 = rate(0.0)
+    h = 1e-4 * rate0
+    target = np.array([h, -h])
+    t = target / rate0
     for _ in range(4):
-        tau = _tau_integral(rate, t)
-        t -= (tau - target) / rate(t)
-    return t
+        half = 0.5 * t[:, None]
+        r = rate(half + half * _TAU_NODES)
+        tau = t * np.cumsum(r[:, :-1] * _TAU_WEIGHTS, axis=1)[:, -1]
+        t = t - (tau - target) / r[:, -1]
+    return h, t
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def proper_acceleration(start, spec: RegionSpec) -> float:
     """Proper acceleration of the flow orbit through start.
 
     Numerical on purpose: reparameterizes the orbit by proper time and
     takes a central second difference with step h = 1e-4 of the local
     dtau scale, so it is independent of the thermal formulas it is used
-    to check.  Returns the Minkowski norm sqrt(|A.A|).
+    to check.  Newton on a Gauss-Legendre quadrature of dtau/dt finds the
+    t with tau(t) = +-h, both at once.  Returns the Minkowski norm
+    sqrt(|A.A|), or raises OutOfRange beyond the float range.
     """
     if isinstance(spec, WedgeSpec):
         if not in_wedge(start, spec):
             raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
 
-        def position(t: float) -> np.ndarray:
-            q = wedge_flow(start, t, spec)
-            return np.array([q.x0, q.x1, q.x2, q.x3])
+        def point(t: float) -> SpacetimePoint:
+            return wedge_flow(start, t, spec)
 
-        def rate(t: float) -> float:
+        def rate(t):
             x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
             rel = x1 - spec.apex_x1
-            return math.sqrt(rel - x0) * math.sqrt(rel + x0)
+            return np.sqrt(rel - x0) * np.sqrt(rel + x0)
 
     else:
         up, um, _ = require_interior_null(start, spec)
 
-        def position(t: float) -> np.ndarray:
-            q = from_null(diamond_flow(start, t, spec))
-            return np.array([q.x0, q.x1, q.x2, q.x3])
+        def point(t: float) -> SpacetimePoint:
+            return from_null(diamond_flow(start, t, spec))
 
-        def rate(t: float) -> float:
+        def rate(t):
             # dtau/dt on the centered orbit, as proper_time_rate gives it
             u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
-            return float(_kernels.thermal(*u_t, spec.size_L)[2])
+            return _kernels.thermal(*u_t, spec.size_L)[2]
 
-    h = 1e-4 * rate(0.0)
-    t_fwd = _solve_tau(rate, h)
-    t_bwd = _solve_tau(rate, -h)
-    # No h*h and no squared coordinates, which leave the range far from L = 1.
-    second = (position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h
+    h, (t_fwd, t_bwd) = _solve_tau(rate)
+    p_fwd, p_0, p_bwd = (np.array([q.x0, q.x1, q.x2, q.x3]) for q in map(point, (t_fwd, 0.0, t_bwd)))
+    # No h*h and no squared coordinates, which leave the range far from
+    # L = 1; the halved ends give the bits of p+ - 2 p0 + p- without 2 p0.
+    second = (0.5 * p_fwd - p_0 + 0.5 * p_bwd) * 2.0 / h / h
     big = float(np.abs(second).max())
     if big == 0.0:
         return 0.0
     s = second / big
-    return big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))
+    a = big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))
+    if not math.isfinite(a):
+        raise OutOfRange(f"the proper acceleration at {start} leaves the range of float64")
+    return a

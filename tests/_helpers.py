@@ -7,12 +7,22 @@ the CLI's JSON writer written with json.dumps, one dict per row.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from diamondflow import _kernels
 from diamondflow.errors import OutOfRange
-from diamondflow.geometry import DiamondSpec, NullRadialCoords, null_from_centered
+from diamondflow.flow import diamond_flow, wedge_flow
+from diamondflow.geometry import (
+    DiamondSpec,
+    NullRadialCoords,
+    WedgeSpec,
+    from_null,
+    null_from_centered,
+    require_interior_null,
+)
 
 
 def interior_pairs(rng, n, size=1.0, cap=0.9):
@@ -93,3 +103,96 @@ def emit_json_reference(names, columns, fmt, footer_text=None, footer_fields=Non
     if footer_fields:
         doc.update(footer_fields)
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# ------------------------------------------------------- oracle references
+
+def rk4_wedge_reference(x0, x1_rel, t, n_steps):
+    """_kernels.rk4_wedge as first written: one name per stage slope
+    and abs() in the stage checks."""
+    h = t / n_steps
+    a = x0
+    b = x1_rel
+    for _ in range(n_steps):
+        if b < abs(a):
+            return a, b, 1
+        k1a = b
+        k1b = a
+        sa = a + 0.5 * h * k1a
+        sb = b + 0.5 * h * k1b
+        if sb < abs(sa):
+            return a, b, 1
+        k2a = sb
+        k2b = sa
+        ta_ = a + 0.5 * h * k2a
+        tb_ = b + 0.5 * h * k2b
+        if tb_ < abs(ta_):
+            return a, b, 1
+        k3a = tb_
+        k3b = ta_
+        ua = a + h * k3a
+        ub = b + h * k3b
+        if ub < abs(ua):
+            return a, b, 1
+        k4a = ub
+        k4b = ua
+        a = a + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+        b = b + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+    if b < abs(a):
+        return a, b, 1
+    return a, b, 0
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def tau_integral_reference(rate, t):
+    """Gauss-Legendre on [0, t], one scalar rate call per node."""
+    half = 0.5 * t
+    acc = 0.0
+    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
+        acc += wi * rate(half + half * xi)
+    return half * acc
+
+
+def solve_tau_reference(rate, target):
+    """Newton on tau(t) = target for one target, with scalar rate calls."""
+    t = target / rate(0.0)
+    for _ in range(4):
+        tau = tau_integral_reference(rate, t)
+        t -= (tau - target) / rate(t)
+    return t
+
+
+def proper_acceleration_reference(start, spec):
+    """flow.proper_acceleration with the scalar quadrature and solver, the
+    forward and backward step solved one after the other."""
+    if isinstance(spec, WedgeSpec):
+        def position(t):
+            q = wedge_flow(start, t, spec)
+            return np.array([q.x0, q.x1, q.x2, q.x3])
+
+        def rate(t):
+            x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
+            rel = x1 - spec.apex_x1
+            return math.sqrt(rel - x0) * math.sqrt(rel + x0)
+    else:
+        up, um, _ = require_interior_null(start, spec)
+
+        def position(t):
+            q = from_null(diamond_flow(start, t, spec))
+            return np.array([q.x0, q.x1, q.x2, q.x3])
+
+        def rate(t):
+            u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
+            return float(_kernels.thermal(*u_t, spec.size_L)[2])
+
+    h = 1e-4 * rate(0.0)
+    t_fwd = solve_tau_reference(rate, h)
+    t_bwd = solve_tau_reference(rate, -h)
+    second = (position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h
+    big = float(np.abs(second).max())
+    if big == 0.0:
+        return 0.0
+    s = second / big
+    return big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from _helpers import (
     interior_points,
     max_coord_diff,
     mpmath40,
+    proper_acceleration_reference,
     temperature_ref,
     wedge_ref,
 )
@@ -89,6 +91,26 @@ def test_wedge_flow_overflow_is_out_of_range():
     want = wedge_ref(0.0, 1.0, 0.0, 700.0)
     assert type(q.x0) is float and type(q.x1) is float
     assert abs(q.x0 - want[0]) <= 4 * EPS * want[0] and abs(q.x1 - want[1]) <= 4 * EPS * want[1]
+
+
+def test_wedge_flow_null_coordinate_overflow():
+    # x0 + x1 overflows, so the boost runs at a quarter of the scale; t = 0
+    # returns the point, and no warning escapes on the way.
+    p = SpacetimePoint(1e308, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wedge_flow(p, 0.0, WEDGE) == p
+        for t in (1e-3, -0.5):
+            q = wedge_flow(p, t, WEDGE)
+            want = wedge_ref(p.x0, p.x1, 0.0, t)
+            assert abs(q.x0 - want[0]) <= 4 * EPS * abs(want[0])
+            assert abs(q.x1 - want[1]) <= 4 * EPS * abs(want[1])
+        a = proper_acceleration(SpacetimePoint(1e307, 1.5e308), WEDGE)
+        want = 1.0 / (math.sqrt(1.5e308 - 1e307) * math.sqrt(1.5e308 + 1e307))
+        assert abs(a - want) < 1e-6 * want
+        # Here the proper-time rate itself overflows.
+        with pytest.raises(OutOfRange):
+            proper_acceleration(p, WEDGE)
 
 
 def test_wedge_flow_matches_mpmath():
@@ -403,6 +425,54 @@ def test_rk4_oracle_equivalence():
             assert abs(rk.z_minus - exact.z_minus) < 1e-8
 
 
+def test_rk4_full_range_of_L():
+    # The loop steps v = u/L, so L^2 neither overflows (L > ~1e154) nor
+    # underflows (L < ~1e-154, where u stood still): the orbit matches the
+    # closed form relative to L for L across 600 decades.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        L = math.exp(rng.uniform(math.log(1e-300), math.log(1e300)))
+        d = DiamondSpec(L)
+        for z in interior_points(rng, 2, d):
+            t = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.0))
+            exact = diamond_flow(z, t, d)
+            rk = integrate_flow_rk4(z, t, int(1000 * abs(t)), d)
+            assert abs(rk.z_plus - exact.z_plus) < 1e-8 * L, (L, z, t)
+            assert abs(rk.z_minus - exact.z_minus) < 1e-8 * L, (L, z, t)
+    rk = integrate_flow_rk4(NullRadialCoords(3e199, -5e199), 1.0, 64, DiamondSpec(1e200))
+    exact = diamond_flow(NullRadialCoords(3e199, -5e199), 1.0, DiamondSpec(1e200))
+    assert abs(rk.z_plus - exact.z_plus) < 1e-8 * 1e200
+
+
+# A fourth-order method's error falls 2^4 = 16-fold when the step halves;
+# the bounds are those of the benchmark's oracle check.
+RK4_FALL = (16.0 / 1.15, 16.0 * 1.15)
+
+
+def test_rk4_convergence_order():
+    # n = 256 steps over |t| in [4, 8] (diamond) and [2, 3] (wedge) keeps
+    # the error far above rounding and far below the orbit's scale.
+    rng = np.random.default_rng(43)
+    for L in (1e-150, 1.0, 1e150):
+        d = DiamondSpec(L, float(rng.uniform(-1.0, 1.0)) * L)
+        for z in interior_points(rng, 10, d):
+            t = float(rng.choice([-1.0, 1.0]) * rng.uniform(4.0, 8.0))
+            exact = diamond_flow(z, t, d)
+            e1, e2 = (max(abs(q.z_plus - exact.z_plus), abs(q.z_minus - exact.z_minus)) / L
+                      for q in (integrate_flow_rk4(z, t, n, d) for n in (256, 512)))
+            assert RK4_FALL[0] <= e1 / e2 <= RK4_FALL[1], (L, z, t, e1, e2)
+    for _ in range(30):
+        w = WedgeSpec(float(rng.uniform(-1.0, 1.0)))
+        rel = float(rng.uniform(0.5, 2.0))
+        p = SpacetimePoint(float(rng.uniform(-0.8, 0.8)) * rel, w.apex_x1 + rel)
+        t = float(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 3.0))
+        exact = wedge_flow(p, t, w)
+        scale = max(abs(exact.x0), abs(exact.x1 - w.apex_x1))
+        e1, e2 = (max(abs(q.x0 - exact.x0), abs(q.x1 - exact.x1)) / scale
+                  for q in (integrate_flow_rk4(p, t, n, w) for n in (256, 512)))
+        assert RK4_FALL[0] <= e1 / e2 <= RK4_FALL[1], (p, w, t, e1, e2)
+
+
 def test_rk4_step_out_of_region():
     # One giant step throws a stage far outside the closed diamond.
     with pytest.raises(StepOutOfRegion):
@@ -598,6 +668,21 @@ def test_proper_acceleration_scale_free():
         assert abs(proper_acceleration(z, DiamondSpec(L)) - want) < 1e-4 * want
     for w in (1e200, 1e-200):
         assert abs(proper_acceleration(SpacetimePoint(0.0, w), WEDGE) * w - 1.0) < 1e-6
+
+
+def test_proper_acceleration_matches_scalar_reference():
+    # Solving tau(t) = +-h together, one rate call per Newton step, keeps
+    # the result of one scalar rate call per node and per step.
+    rng = np.random.default_rng(47)
+    for _ in range(250):
+        L = math.exp(rng.uniform(-5.0, 5.0))
+        d = DiamondSpec(L, float(rng.uniform(-1.0, 1.0)) * L)
+        w = WedgeSpec(float(rng.uniform(-2.0, 2.0)))
+        rel = math.exp(rng.uniform(-5.0, 5.0))
+        p = SpacetimePoint(float(rng.uniform(-0.95, 0.95)) * rel, w.apex_x1 + rel)
+        for start, spec in ((interior_points(rng, 1, d, cap=0.95)[0], d), (p, w)):
+            want = proper_acceleration_reference(start, spec)
+            assert abs(proper_acceleration(start, spec) - want) <= 1e-12 * want, (start, spec)
 
 
 def test_proper_acceleration_constant_along_orbit():

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 
-from _helpers import orbit_ref
+from _helpers import orbit_ref, rk4_wedge_reference
 from diamondflow import _kernels as K
 from diamondflow.geometry import BOUNDARY_MARGIN, DiamondSpec, from_null, null_from_centered
 
@@ -65,6 +67,50 @@ def test_rk4_status_flags():
     assert status == 1
     _, _, ok = K.rk4_wedge(0.0, 1.0, 1.0, 64)
     assert ok == 0
+
+
+def test_rk4_diamond_scale_free():
+    # The loop steps v = u/L and returns u0 + L (v - v0): t = 0 gives back
+    # the start bit for bit, and L 2^k gives exactly 2^k times the result,
+    # for L log-uniform in [1e-300, 1e300].
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        size = math.exp(rng.uniform(math.log(1e-300), math.log(1e300)))
+        up, um = (float(u) for u in rng.uniform(-0.9, 0.9, 2) * size)
+        assert K.rk4_diamond(up, um, size, 0.0, 5) == (up, um, 0)
+        t = float(rng.uniform(-3.0, 3.0))
+        out = K.rk4_diamond(up, um, size, t, 40)
+        assert out[2] == 0
+        # k keeps L 2^k inside [1e-300, 1e300], clear of subnormals.
+        k_lo = max(-900, math.ceil(math.log2(1e-300) - math.log2(size)))
+        k_hi = min(900, math.floor(math.log2(1e300) - math.log2(size)))
+        for k in rng.integers(k_lo, k_hi + 1, 3).tolist():
+            s = 2.0 ** k
+            assert K.rk4_diamond(s * up, s * um, s * size, t, 40) == (s * out[0], s * out[1], 0)
+
+
+def _bits(out):
+    return out[0].hex(), out[1].hex(), out[2]
+
+
+def test_rk4_wedge_matches_reference():
+    # Without the stage aliases and abs() the loop keeps the reference's
+    # bits: on random starts inside and outside the wedge, on NaN and
+    # infinities, and where a stage steps out.
+    rng = np.random.default_rng(59)
+    n = 20000
+    rel = np.exp(rng.uniform(-5.0, 5.0, n))
+    cases = list(zip((rng.uniform(-1.2, 1.2, n) * rel).tolist(), rel.tolist(),
+                     rng.uniform(-4.0, 4.0, n).tolist(), rng.integers(1, 9, n).tolist()))
+    special = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0)
+    cases += [(a, b, t, 3) for a in special for b in special
+              for t in (math.nan, math.inf, -math.inf, 0.0, 1.0, -2.0)]
+    stepped_out = 0
+    for case in cases:
+        want = rk4_wedge_reference(*case)
+        assert _bits(K.rk4_wedge(*case)) == _bits(want), case
+        stepped_out += want[2]
+    assert 1000 < stepped_out < len(cases) - 1000
 
 
 def test_rk4_matches_closed_form():
