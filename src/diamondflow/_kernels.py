@@ -6,8 +6,9 @@ kernels too.  The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L)
 by t/2: diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never
 leaves |u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
 from the rapidities, not from the rounded u(t).  wedge_orbit is the boost in
-null coordinates, global_null turns centered pairs into the global null and
-Cartesian columns, and thermal is the one source of the thermal quantities.
+null coordinates, global_null is the one map from centered pairs to the
+global null and Cartesian columns, for a float pair and for arrays alike,
+and thermal is the one source of the thermal quantities.
 rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops,
 the diamond's in v = u/L coordinates for every L the float range holds, and
 never consult the closed forms, so they stay an independent check.
@@ -131,31 +132,48 @@ def orbit_temperature(u_plus, u_minus, size: float, t):
     """Temperature cosh rho+(t) cosh rho-(t) / (pi L) along the orbit of diamond_orbit."""
     size = float(size)
     rho_p, rho_m = _rapidities(u_plus, u_minus, size, t)
-    return np.cosh(rho_p) / (np.pi * size) * np.cosh(rho_m)
+    k, pi_size = _pi_size(size)
+    return k * np.cosh(rho_p) / pi_size * np.cosh(rho_m)
 
 
-def global_null(u_plus, u_minus, shift: float):
-    """Global (z_plus, z_minus, x0, x1) of centered pairs on the +e1 axis.
+def _pi_size(size: float):
+    # (k, pi k L), k = 1/4 above L = 1: finite up to L = DBL_MAX, and exact,
+    # so k x / (pi k L) has the bits of x / (pi L) wherever pi L is finite.
+    k = 0.25 if size > 1.0 else 1.0
+    return k, np.pi * (k * size)
 
-    The array form of geometry.null_from_centered followed by from_null
-    for a diamond centered at x1 = shift, with the same float operations,
-    so both give the same bits."""
-    u_plus = np.asarray(u_plus, dtype=np.float64)
-    u_minus = np.asarray(u_minus, dtype=np.float64)
+
+def _halves(a, b, wide: bool):
+    # (a + b)/2 and (a - b)/2 as 0.5 (a +- b); where wide, an element whose
+    # a +- b overflows is halved first, which is exact there, while halving
+    # first everywhere would round subnormals.
+    if not wide:
+        return 0.5 * (a + b), 0.5 * (a - b)
+    with np.errstate(over="ignore"):
+        s, d = 0.5 * (a + b), 0.5 * (a - b)
+        return (np.where(np.isinf(s), 0.5 * a + 0.5 * b, s),
+                np.where(np.isinf(d), 0.5 * a - 0.5 * b, d))
+
+
+def global_null(u_plus, u_minus, size: float, shift: float):
+    """Global (z_plus, z_minus, x0, x1) of centered pairs on the +e1 axis
+    of the diamond of half-width size centered at x1 = shift.
+
+    geometry.null_from_centered is its case of a float pair."""
+    # Only beyond this bound can a sum or difference of coordinates overflow.
+    wide = abs(shift) + 2.0 * size > 2.0 ** 1022
+    x0, xi = _halves(u_plus, u_minus, wide)
     if shift == 0.0:
-        # Rounding guard: a pair that started ordered cannot cross.
-        mid = 0.5 * (u_plus + u_minus)
+        # Rounding guard: a pair that started ordered cannot cross, so a
+        # crossed one goes to its midpoint x0, at radius 0.
         ordered = u_plus >= u_minus
-        z_plus = np.where(ordered, u_plus, mid)
-        z_minus = np.where(ordered, u_minus, mid)
-        sign = 1.0
-    else:
-        x0 = 0.5 * (u_plus + u_minus)
-        x1 = shift + 0.5 * (u_plus - u_minus)
-        r = np.abs(x1)
-        z_plus, z_minus = x0 + r, x0 - r
-        sign = np.where(x1 < 0.0, -1.0, 1.0)
-    return z_plus, z_minus, 0.5 * (z_plus + z_minus), 0.5 * (z_plus - z_minus) * sign
+        return (np.where(ordered, u_plus, x0), np.where(ordered, u_minus, x0),
+                x0, np.where(ordered, xi, 0.0))
+    x1 = shift + xi
+    r = np.abs(x1)
+    z_plus, z_minus = x0 + r, x0 - r
+    x0, r = _halves(z_plus, z_minus, wide)
+    return z_plus, z_minus, x0, np.where(x1 < 0.0, -r, r)
 
 
 def null_beta(u, size: float):
@@ -181,15 +199,18 @@ def thermal(u_plus, u_minus, size: float):
 
     beta_pm is the null form of the flow tangent and ||beta|| = dtau/dt;
     T diverges toward the boundary and is 1/(pi L) at the center.  L enters
-    each formula as one factor, never as L^2, so a result overflows only
-    when the quantity itself does, and is then inf.  Only + - * /, abs and
-    sqrt appear, all correctly rounded, so a float pair and an array
-    element give the same bits.  Needs q+ q- > 0: strictly interior pairs.
+    each formula as one factor, never as L^2, and pi L is formed at a
+    quarter scale above L = 1, so T is finite up to L = DBL_MAX and
+    overflows to inf only toward L = 0, where T itself does; a, formed as
+    (2 pi T) r/L, is inf once 2 pi T is.  Only + - * /, abs and sqrt
+    appear, all correctly rounded, so a float pair and an array element
+    give the same bits.  Needs q+ q- > 0: strictly interior pairs.
     """
     vp, qp, beta_p = null_beta(u_plus, size)
     vm, qm, beta_m = null_beta(u_minus, size)
     root = np.sqrt(qp * qm)
-    temperature = 1.0 / (np.pi * size * root)
+    k, pi_size = _pi_size(size)
+    temperature = k / (pi_size * root)
     ratio = 0.5 * abs(vp - vm)
     return (beta_p, beta_m, 0.5 * size * root, temperature,
             2.0 * np.pi * temperature * ratio, ratio)

@@ -210,7 +210,7 @@ def cmd_field(args: argparse.Namespace) -> str:
     # One row per pair up >= um, up-major: the lower triangle of the axis grid.
     i, j = np.tril_indices(args.grid)
     up, um = axis[i], axis[j]
-    z_plus, z_minus, _, _ = global_null(up, um, args.L1)
+    z_plus, z_minus, _, _ = global_null(up, um, L, args.L1)
     beta_p, beta_m, _, T, a, ratio = thermal(up, um, L)
     return _emit(_FIELD_COLS, (z_plus, z_minus, beta_p, beta_m, T, a, ratio), args.format)
 

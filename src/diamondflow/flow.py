@@ -14,10 +14,11 @@ coordinates u_pm by t/2:
     u_pm(t) = L tanh(rho_pm + t/2),
 
 which stays in the closed diamond for every t.  Translated diamonds
-reduce to the centered case by the coordinate shift in
-geometry.centered_null_pair, so translation covariance is exact by
-construction.  integrate_flow_rk4 is an independent check on the closed
-forms: it integrates the generator field with classical fixed-step RK4, in
+reduce to the centered case by the shift in geometry.centered_null_pair
+and return by _kernels.global_null, so translation covariance is exact by
+construction.  _orbit is the one evaluator of an orbit's positions and
+dtau/dt.  integrate_flow_rk4 is an independent check on the closed forms:
+it integrates the generator field with classical fixed-step RK4, in
 v = u/L coordinates in a diamond, and never consults the rapidity or boost
 formulas.
 """
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import OutOfRange, OutOfRegion, StepOutOfRegion
+from .errors import OutOfRange, StepOutOfRegion
 from .geometry import (
     DiamondSpec,
     NullRadialCoords,
     SpacetimePoint,
     WedgeSpec,
-    from_null,
-    in_wedge,
     null_from_centered,
+    require_in_wedge,
     require_interior_null,
 )
 from .thermo import acceleration_at, beta_field, wedge_temperature
@@ -90,16 +90,13 @@ class Trajectory:
     def _acceleration(self) -> float:
         if isinstance(self.region, DiamondSpec):
             return acceleration_at(self.start, self.region)
-        # 1/sqrt((x1 - apex)^2 - x0^2) at the start avoids the cancellation
-        # at large |t|; two square roots keep the product in range.
-        rel = self.start.x1 - self.region.apex_x1
-        return 1.0 / (math.sqrt(rel - self.start.x0) * math.sqrt(rel + self.start.x0))
+        # 1/(dtau/dt) at the start avoids the cancellation at large |t|.
+        return 1.0 / float(_orbit(self.start, self.region)[1](0.0))
 
 
 def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
     """Boost by modular parameter t; preserves (x1-apex)^2 - x0^2."""
-    if not in_wedge(x, w):
-        raise OutOfRegion(f"{x} is not in the wedge with apex {w.apex_x1}")
+    require_in_wedge(x, w)
     x0, x1, _, _ = _kernels.wedge_orbit(x.x0, x.x1, w.apex_x1, t)
     return SpacetimePoint(x0, x1, x.x2, x.x3)
 
@@ -107,8 +104,7 @@ def wedge_flow(x: SpacetimePoint, t: float, w: WedgeSpec) -> SpacetimePoint:
 def diamond_flow(z: NullRadialCoords, t: float, d: DiamondSpec) -> NullRadialCoords:
     """Flow by modular parameter t on the diamond d: rho_pm -> rho_pm + t/2."""
     up, um, axis = require_interior_null(z, d)
-    u_plus, u_minus = _kernels.diamond_orbit(up, um, d.size_L, t)
-    return null_from_centered(float(u_plus), float(u_minus), axis, d)
+    return null_from_centered(*_kernels.diamond_orbit(up, um, d.size_L, t), axis, d)
 
 
 def generator(point, spec: RegionSpec) -> SpacetimePoint:
@@ -120,8 +116,7 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
     if isinstance(spec, WedgeSpec):
         if not isinstance(point, SpacetimePoint):
             raise TypeError("wedge generator expects a SpacetimePoint")
-        if not in_wedge(point, spec):
-            raise OutOfRegion(f"{point} is not in the wedge with apex {spec.apex_x1}")
+        require_in_wedge(point, spec)
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
     if not isinstance(point, NullRadialCoords):
         raise TypeError("diamond generator expects NullRadialCoords")
@@ -146,8 +141,7 @@ def integrate_flow_rk4(point, t: float, n_steps: int, spec: RegionSpec):
     if n_steps < 1:
         raise OutOfRange(f"n_steps must be >= 1, got {n_steps}")
     if isinstance(spec, WedgeSpec):
-        if not in_wedge(point, spec):
-            raise OutOfRegion(f"{point} is not in the wedge with apex {spec.apex_x1}")
+        require_in_wedge(point, spec)
         x0, rel, status = _kernels.rk4_wedge(point.x0, point.x1 - spec.apex_x1, t, n_steps)
         _raise_on_step_out(status)
         return SpacetimePoint(x0, spec.apex_x1 + rel, point.x2, point.x3)
@@ -162,6 +156,43 @@ def _raise_on_step_out(status: int) -> None:
         raise StepOutOfRegion("an integrator stage left the closed region; use more steps")
 
 
+def _orbit(start, spec: RegionSpec):
+    """Validate start once; return t -> (z_plus, z_minus, x0, x1, x2, x3)
+    and t -> dtau/dt along its orbit, for a float or float64 array t."""
+    if isinstance(spec, WedgeSpec):
+        require_in_wedge(start, spec)
+        x0, x1, apex = start.x0, start.x1, spec.apex_x1
+        # dtau/dt = sqrt((x1 - apex)^2 - x0^2) as two square roots, at a
+        # quarter scale, exactly, where x0 +- (x1 - apex) overflow.
+        q = 0.25 if abs(x0) + abs(x1 - apex) == math.inf else 1.0
+
+        def columns(t):
+            x0_t, x1_t, z_plus, z_minus = _kernels.wedge_orbit(x0, x1, apex, t)
+            return z_plus, z_minus, x0_t, x1_t, np.full_like(t, start.x2), np.full_like(t, start.x3)
+
+        def rate(t):
+            x0_t, x1_t, _, _ = _kernels.wedge_orbit(q * x0, q * x1, q * apex, t)
+            rel = x1_t - q * apex
+            return np.sqrt(rel - x0_t) * np.sqrt(rel + x0_t) / q
+
+        return columns, rate
+
+    up, um, axis = require_interior_null(start, spec)
+    size, shift = spec.size_L, spec.translation_L1
+
+    def columns(t):
+        z_plus, z_minus, x0, x1 = _kernels.global_null(
+            *_kernels.diamond_orbit(up, um, size, t), size, shift)
+        r = np.abs(x1)
+        return z_plus, z_minus, x0, x1 * axis[0], r * axis[1], r * axis[2]
+
+    def rate(t):
+        # as proper_time_rate gives it, on the centered orbit
+        return _kernels.thermal(*_kernels.diamond_orbit(up, um, size, t), size)[2]
+
+    return columns, rate
+
+
 def sample_trajectory(start, t_min: float, t_max: float, n: int,
                       spec: RegionSpec) -> Trajectory:
     """Evaluate the closed-form flow on n uniform parameters in [t_min, t_max]."""
@@ -172,17 +203,7 @@ def sample_trajectory(start, t_min: float, t_max: float, n: int,
     ts = np.linspace(t_min, t_max, n)
     if not (np.diff(ts) > 0.0).all():
         raise OutOfRange(f"{n} samples in [{t_min}, {t_max}] are not strictly increasing")
-    if isinstance(spec, WedgeSpec):
-        if not in_wedge(start, spec):
-            raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
-        x0, x1, z_plus, z_minus = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, ts)
-        cols = (z_plus, z_minus, x0, x1, np.full_like(ts, start.x2), np.full_like(ts, start.x3))
-    else:
-        up, um, axis = require_interior_null(start, spec)
-        z_plus, z_minus, x0, x1 = _kernels.global_null(
-            *_kernels.diamond_orbit(up, um, spec.size_L, ts), spec.translation_L1)
-        r = np.abs(x1)
-        cols = (z_plus, z_minus, x0, x1 * axis[0], r * axis[1], r * axis[2])
+    cols = _orbit(start, spec)[0](ts)
     if not all(np.isfinite(c).all() for c in cols):
         raise OutOfRange("the orbit leaves the range of float64")
     return Trajectory(spec, start, ts, *cols)
@@ -217,36 +238,15 @@ def proper_acceleration(start, spec: RegionSpec) -> float:
 
     Numerical on purpose: reparameterizes the orbit by proper time and
     takes a central second difference with step h = 1e-4 of the local
-    dtau scale, so it is independent of the thermal formulas it is used
-    to check.  Newton on a Gauss-Legendre quadrature of dtau/dt finds the
-    t with tau(t) = +-h, both at once.  Returns the Minkowski norm
+    dtau scale.  It reads the closed-form positions and dtau/dt = ||beta||,
+    so it is independent only of the formula a = 2 pi T r/L it is used to
+    check.  Newton on a Gauss-Legendre quadrature of dtau/dt finds the t
+    with tau(t) = +-h, both at once.  Returns the Minkowski norm
     sqrt(|A.A|), or raises OutOfRange beyond the float range.
     """
-    if isinstance(spec, WedgeSpec):
-        if not in_wedge(start, spec):
-            raise OutOfRegion(f"{start} is not in the wedge with apex {spec.apex_x1}")
-
-        def point(t: float) -> SpacetimePoint:
-            return wedge_flow(start, t, spec)
-
-        def rate(t):
-            x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
-            rel = x1 - spec.apex_x1
-            return np.sqrt(rel - x0) * np.sqrt(rel + x0)
-
-    else:
-        up, um, _ = require_interior_null(start, spec)
-
-        def point(t: float) -> SpacetimePoint:
-            return from_null(diamond_flow(start, t, spec))
-
-        def rate(t):
-            # dtau/dt on the centered orbit, as proper_time_rate gives it
-            u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
-            return _kernels.thermal(*u_t, spec.size_L)[2]
-
+    columns, rate = _orbit(start, spec)
     h, (t_fwd, t_bwd) = _solve_tau(rate)
-    p_fwd, p_0, p_bwd = (np.array([q.x0, q.x1, q.x2, q.x3]) for q in map(point, (t_fwd, 0.0, t_bwd)))
+    p_fwd, p_0, p_bwd = np.array(columns(np.array([t_fwd, 0.0, t_bwd]))[2:]).T
     # No h*h and no squared coordinates, which leave the range far from
     # L = 1; the halved ends give the bits of p+ - 2 p0 + p- without 2 p0.
     second = (0.5 * p_fwd - p_0 + 0.5 * p_bwd) * 2.0 / h / h

@@ -18,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels
 from .errors import LightlikeInput, OutOfRange, OutOfRegion
 
 __all__ = [
@@ -98,11 +101,18 @@ class NullRadialCoords:
 
     @property
     def x0(self) -> float:
-        return 0.5 * (self.z_plus + self.z_minus)
+        return _half_sum(self.z_plus, self.z_minus)
 
     @property
     def radius(self) -> float:
-        return 0.5 * (self.z_plus - self.z_minus)
+        return _half_sum(self.z_plus, -self.z_minus)
+
+
+def _half_sum(a: float, b: float) -> float:
+    # 0.5 (a + b), halved first only where a + b overflows: exact there,
+    # while halving first everywhere would round subnormals.
+    s = a + b
+    return 0.5 * s if abs(s) != math.inf else 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,12 @@ def from_null(z: NullRadialCoords, center_x1: float = 0.0) -> SpacetimePoint:
 def in_wedge(x: SpacetimePoint, w: WedgeSpec) -> bool:
     """Strict membership in the open right wedge about w.apex_x1."""
     return x.x1 - w.apex_x1 > abs(x.x0)
+
+
+def require_in_wedge(x: SpacetimePoint, w: WedgeSpec) -> None:
+    """Raise OutOfRegion unless x lies in the open wedge w."""
+    if not in_wedge(x, w):
+        raise OutOfRegion(f"{x} is not in the wedge with apex {w.apex_x1}")
 
 
 def in_diamond(x: SpacetimePoint, d: DiamondSpec) -> bool:
@@ -242,19 +258,13 @@ def centered_null_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, floa
 def null_from_centered(u_plus: float, u_minus: float,
                        axis: tuple[float, float, float],
                        d: DiamondSpec) -> NullRadialCoords:
-    """Global null-radial coordinates from centered signed null coordinates."""
-    if d.translation_L1 == 0.0:
-        if u_plus >= u_minus:
-            return NullRadialCoords(u_plus, u_minus, axis)
-        # Rounding guard: a pair that started ordered cannot cross.
-        mid = 0.5 * (u_plus + u_minus)
-        return NullRadialCoords(mid, mid, axis)
-    x0 = 0.5 * (u_plus + u_minus)
-    xi = 0.5 * (u_plus - u_minus)
-    x1 = d.translation_L1 + xi
-    r = abs(x1)
-    direction = (-1.0, 0.0, 0.0) if x1 < 0.0 else (1.0, 0.0, 0.0)
-    return NullRadialCoords(x0 + r, x0 - r, direction)
+    """Global null-radial coordinates from centered signed null coordinates,
+    by _kernels.global_null; in a translated diamond, on the side of x1's sign."""
+    with np.errstate(over="ignore", invalid="ignore"):  # NullRadialCoords rejects inf and nan
+        z_plus, z_minus, _, x1 = _kernels.global_null(u_plus, u_minus, d.size_L, d.translation_L1)
+    if d.translation_L1 != 0.0:
+        axis = (math.copysign(1.0, x1), 0.0, 0.0)
+    return NullRadialCoords(z_plus, z_minus, axis)
 
 
 def require_interior_null(z: NullRadialCoords, d: DiamondSpec,

@@ -3,7 +3,9 @@
 Each reference evaluates one closed form of the package at 40 significant
 digits: the diamond orbit u(t), the temperature from the rapidities, the
 thermal set in v = u/L form and the wedge boost.  emit_json_reference is
-the CLI's JSON writer written with json.dumps, one dict per row.
+the CLI's JSON writer written with json.dumps, one dict per row, and
+proper_acceleration_points_reference the finite-difference oracle with one
+scalar flow call and point object per position.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 
 from diamondflow import _kernels
 from diamondflow.errors import OutOfRange
-from diamondflow.flow import diamond_flow, wedge_flow
+from diamondflow.flow import _solve_tau, diamond_flow, wedge_flow
 from diamondflow.geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -164,9 +166,9 @@ def solve_tau_reference(rate, target):
     return t
 
 
-def proper_acceleration_reference(start, spec):
-    """flow.proper_acceleration with the scalar quadrature and solver, the
-    forward and backward step solved one after the other."""
+def _scalar_orbit(start, spec):
+    """position(t) from one scalar wedge_flow, or diamond_flow + from_null,
+    call and its point objects, and the rate dtau/dt of flow.proper_acceleration."""
     if isinstance(spec, WedgeSpec):
         def position(t):
             q = wedge_flow(start, t, spec)
@@ -175,7 +177,7 @@ def proper_acceleration_reference(start, spec):
         def rate(t):
             x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
             rel = x1 - spec.apex_x1
-            return math.sqrt(rel - x0) * math.sqrt(rel + x0)
+            return np.sqrt(rel - x0) * np.sqrt(rel + x0)
     else:
         up, um, _ = require_interior_null(start, spec)
 
@@ -185,14 +187,32 @@ def proper_acceleration_reference(start, spec):
 
         def rate(t):
             u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
-            return float(_kernels.thermal(*u_t, spec.size_L)[2])
+            return _kernels.thermal(*u_t, spec.size_L)[2]
+    return position, rate
 
-    h = 1e-4 * rate(0.0)
-    t_fwd = solve_tau_reference(rate, h)
-    t_bwd = solve_tau_reference(rate, -h)
-    second = (position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h
+
+def _minkowski_norm(second):
     big = float(np.abs(second).max())
     if big == 0.0:
         return 0.0
     s = second / big
     return big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))
+
+
+def proper_acceleration_reference(start, spec):
+    """flow.proper_acceleration with the scalar quadrature and solver, the
+    forward and backward step solved one after the other."""
+    position, rate = _scalar_orbit(start, spec)
+    h = 1e-4 * rate(0.0)
+    t_fwd = solve_tau_reference(rate, h)
+    t_bwd = solve_tau_reference(rate, -h)
+    return _minkowski_norm((position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h)
+
+
+def proper_acceleration_points_reference(start, spec):
+    """flow.proper_acceleration with each of its three positions from a
+    scalar flow call, and the same rate and tau solver."""
+    position, rate = _scalar_orbit(start, spec)
+    h, (t_fwd, t_bwd) = _solve_tau(rate)
+    return _minkowski_norm((0.5 * position(t_fwd) - position(0.0) + 0.5 * position(t_bwd))
+                           * 2.0 / h / h)

@@ -1,6 +1,8 @@
-"""The oracle-check benchmark runs end to end on the oracles as they are.
+"""Each benchmark workload runs end to end on the program as it is.
 
-Its check holds the RK4 loops to a 16x error fall at twice the steps and
+grid-export and orbit-export check the CLI's tables and figures (global_null,
+thermal and the text kernels) against extended-precision values; oracle-check
+holds the RK4 loops to a 16x error fall at twice the steps and
 proper_acceleration to the closed form, so a broken oracle fails here too.
 """
 
@@ -9,13 +11,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_oracle_check_quick_run():
+@pytest.mark.parametrize("workload", ["grid-export", "orbit-export", "oracle-check"])
+def test_quick_run(workload):
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--quick",
-         "--workload", "oracle-check"],
+         "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stderr

@@ -213,6 +213,9 @@ _RANGE_EDGES = [
     "field --grid 3 --L 1e-300",
     "field --grid 3 --L 1e200",
     "traj --L 1e200 --start 1e199,-1e199 --t=0:1:3",
+    # pi L overflows, and at 1e308 the start's z_plus - z_minus too
+    "field --grid 3 --L 8e307",
+    "traj --L 1e308 --start 0.99e308,-0.99e308",
 ]
 
 

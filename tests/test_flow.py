@@ -10,6 +10,7 @@ from _helpers import (
     interior_points,
     max_coord_diff,
     mpmath40,
+    proper_acceleration_points_reference,
     proper_acceleration_reference,
     temperature_ref,
     wedge_ref,
@@ -108,9 +109,10 @@ def test_wedge_flow_null_coordinate_overflow():
         a = proper_acceleration(SpacetimePoint(1e307, 1.5e308), WEDGE)
         want = 1.0 / (math.sqrt(1.5e308 - 1e307) * math.sqrt(1.5e308 + 1e307))
         assert abs(a - want) < 1e-6 * want
-        # Here the proper-time rate itself overflows.
-        with pytest.raises(OutOfRange):
-            proper_acceleration(p, WEDGE)
+        # Here x0 + x1 overflows, and the rate is taken at a quarter scale.
+        a = proper_acceleration(p, WEDGE)
+        want = 1.0 / (math.sqrt(1.5e308 - 1e308) * math.sqrt(0.375e308 + 0.25e308) * 2.0)
+        assert abs(a - want) < 1e-6 * want
 
 
 def test_wedge_flow_matches_mpmath():
@@ -662,8 +664,10 @@ def test_proper_acceleration_scale_free():
             assert proper_acceleration(zs, DiamondSpec(s * d.size_L, s * d.translation_L1)) * s == a
         ws = proper_acceleration(SpacetimePoint(0.2 * s, 1.1 * s), WedgeSpec(0.3 * s))
         assert ws * s == a_w, k
-    for L in (1e200, 1e-200):
-        z = NullRadialCoords(0.3 * L, -0.5 * L)
+    starts = [(NullRadialCoords(0.3 * L, -0.5 * L), L) for L in (1e200, 1e-200)]
+    # Here the start's z_plus - z_minus and pi L overflow.
+    starts.append((NullRadialCoords(0.99e308, -0.99e308), 1e308))
+    for z, L in starts:
         want = acceleration_at(z, DiamondSpec(L))
         assert abs(proper_acceleration(z, DiamondSpec(L)) - want) < 1e-4 * want
     for w in (1e200, 1e-200):
@@ -683,6 +687,27 @@ def test_proper_acceleration_matches_scalar_reference():
         for start, spec in ((interior_points(rng, 1, d, cap=0.95)[0], d), (p, w)):
             want = proper_acceleration_reference(start, spec)
             assert abs(proper_acceleration(start, spec) - want) <= 1e-12 * want, (start, spec)
+
+
+def test_proper_acceleration_matches_point_reference():
+    # One array evaluation of the three positions keeps the bits of three
+    # scalar flow calls and their point objects: centered diamonds with
+    # off-axis directions, translated diamonds and wedges with random apexes.
+    rng = np.random.default_rng(83)
+    for k in range(1500):
+        L = math.exp(rng.uniform(-20.0, 20.0))
+        if k % 3 == 0:
+            v = rng.normal(size=3)
+            up, um = np.sort(rng.uniform(-0.95, 0.95, 2))[::-1] * L
+            start, spec = NullRadialCoords(up, um, tuple(v / np.linalg.norm(v))), DiamondSpec(L)
+        elif k % 3 == 1:
+            spec = DiamondSpec(L, float(rng.uniform(-3.0, 3.0)) * L)
+            start = interior_points(rng, 1, spec, cap=0.95)[0]
+        else:
+            spec = WedgeSpec(float(rng.uniform(-3.0, 3.0)) * L)
+            start = SpacetimePoint(float(rng.uniform(-0.95, 0.95)) * L, spec.apex_x1 + L,
+                                   float(rng.normal()) * L, float(rng.normal()) * L)
+        assert proper_acceleration(start, spec) == proper_acceleration_points_reference(start, spec), (start, spec)
 
 
 def test_proper_acceleration_constant_along_orbit():

@@ -50,6 +50,18 @@ def test_null_coords_basics():
     assert z.x0 == 0.25
 
 
+def test_null_coords_halve_first_only_on_overflow():
+    # z_plus - z_minus overflows: halved first, which is exact there.
+    z = NullRadialCoords(0.99e308, -0.99e308)
+    assert (z.x0, z.radius) == (0.0, 0.99e308)
+    assert from_null(z) == SpacetimePoint(0.0, 0.99e308)
+    assert NullRadialCoords(2.0 ** 1023, 2.0 ** 1022).x0 == 3.0 * 2.0 ** 1021
+    # Elsewhere the sum is halved, which keeps subnormal bits.
+    z = NullRadialCoords(5e-324, 5e-324)
+    assert (z.x0, z.radius) == (5e-324, 0.0)
+    assert NullRadialCoords(1.5e-323, -5e-324).radius == 1e-323
+
+
 def test_null_coords_off_axis_direction():
     z = to_null(SpacetimePoint(0.0, 0.0, 3.0, 4.0))
     assert z.radius == 5.0

@@ -122,14 +122,43 @@ def test_rk4_matches_closed_form():
 
 
 def test_global_null_matches_scalar_path():
-    # The array form gives the bits of null_from_centered + from_null, the
-    # crossed pairs of the centered rounding guard included.
+    # The array columns give the bits of NullRadialCoords.x0 and .radius
+    # through from_null, the crossed pairs of the centered rounding guard
+    # included; at 1e308 and 4e307 sums and differences overflow and are
+    # halved first, and subnormal pairs keep the bits of the halved sum.
     rng = np.random.default_rng(11)
-    for L, L1 in ((1.0, 0.0), (1.0, 0.7), (3.0, -4.5), (1e-3, 1e-3), (1e200, -1e199)):
-        up, um = rng.uniform(-L, L, (2, 400))
-        zp, zm, x0, x1 = K.global_null(up, um, L1)
+    for L, L1 in ((1.0, 0.0), (1.0, 0.7), (3.0, -4.5), (1e-3, 1e-3), (1e200, -1e199),
+                  (1e308, 0.0), (4e307, 4e307), (3e-310, 1e-310)):
+        up, um = L * rng.uniform(-1.0, 1.0, (2, 400))
+        up[:3], um[:3] = (L, -L, 2.5e-323), (-L, L, 5e-324)
+        zp, zm, x0, x1 = K.global_null(up, um, L, L1)
         for k in range(up.size):
             z = null_from_centered(float(up[k]), float(um[k]), (1.0, 0.0, 0.0),
                                    DiamondSpec(L, L1))
             x = from_null(z)
             assert (zp[k], zm[k], x0[k], x1[k]) == (z.z_plus, z.z_minus, x.x0, x.x1)
+
+
+def test_thermal_quarter_scale_keeps_bits():
+    # T = 1/(4 pi (L/4) root) above L = 1 has the bits of 1/(pi L root),
+    # and the orbit temperature those of cosh rho+ / (pi L) cosh rho-,
+    # wherever pi L is finite: L = 1.37 2^e over the whole exponent range.
+    rng = np.random.default_rng(17)
+    t = np.linspace(-8.0, 8.0, 16)
+    for e in range(-1074, 1024):
+        L = 1.37 * 2.0 ** e
+        if not 0.0 < L < math.inf:
+            continue
+        up, um = rng.uniform(-0.999, 0.999, (2, 16)) * L
+        with np.errstate(all="ignore"):
+            T = K.thermal(up, um, L)[3]
+            vp, vm = up / L, um / L
+            want = 1.0 / (np.pi * L * np.sqrt((1.0 - vp) * (1.0 + vp) * ((1.0 - vm) * (1.0 + vm))))
+            orbit = K.orbit_temperature(up, um, L, t)
+            rho_p, rho_m = np.arctanh(up / L) + 0.5 * t, np.arctanh(um / L) + 0.5 * t
+            orbit_want = np.cosh(rho_p) / (np.pi * L) * np.cosh(rho_m)
+        if math.isfinite(math.pi * L):
+            assert np.array_equal(T, want), L
+            assert np.array_equal(orbit, orbit_want), L
+        else:
+            assert (T > 0.0).all() and (orbit > 0.0).all(), L

@@ -221,6 +221,30 @@ def test_acceleration_center_zero_where_temperature_overflows():
         assert not math.copysign(1.0, sample.acceleration) < 0.0
 
 
+def test_thermal_matches_mpmath_up_to_dbl_max():
+    # pi L overflows above L = DBL_MAX/pi, about 5.7e307; T and a stay
+    # within a few ulps of mpmath up to DBL_MAX, where T at the center is
+    # subnormal and carries an absolute error of up to one 2^-1074.
+    mp = mpmath40()
+    tiny = 2.0 ** -1074
+    for L in (1e300, 5.7e307, 5.73e307, 8e307, 1e308, 1.7976931348623157e308):
+        up = np.array([0.999, 0.0, 0.5, 0.999, 0.3]) * L
+        um = np.array([-0.999, 0.0, -0.5, 0.998, -0.9]) * L
+        bp, bm, norm, T, a, ratio = _kernels.thermal(up, um, L)
+        orbit = _kernels.orbit_temperature(up, um, L, 0.75)
+        for k in range(up.size):
+            w = thermal_ref(up[k], um[k], L)
+            q = min(1.0 - (up[k] / L) ** 2, 1.0 - (um[k] / L) ** 2)
+            for name, value in (("beta_norm", norm[k]), ("T", T[k])):
+                assert abs(value - w[name]) <= 4 * EPS / q * w[name] + tiny, (L, k, name)
+            assert abs(a[k] - w["a"]) <= 4 * EPS / q * w["a"] + 8 * tiny, (L, k)
+            rho = [mp.atanh(mp.mpf(u) / L) + mp.mpf(0.75) / 2 for u in (up[k], um[k])]
+            want = mp.cosh(rho[0]) * mp.cosh(rho[1]) / (mp.pi * L)
+            assert abs(orbit[k] - want) <= 8 * EPS / q * want + tiny, (L, k)
+        z = NullRadialCoords(up[0], um[0])
+        assert acceleration_at(z, DiamondSpec(L)) == a[0]
+
+
 def test_acceleration_translated_coincidence():
     # For L1 = sqrt(L^2 + w^2) the orbit through (0, w) matches the wedge
     # hyperbola with proper acceleration 1/w.
