@@ -1,100 +1,15 @@
 """Geometric modular flow and local temperature for wedges and causal diamonds."""
 
-from .errors import (
-    DiamondflowError,
-    LightlikeInput,
-    NonpositiveAcceleration,
-    OutOfRange,
-    OutOfRegion,
-    SpecMismatch,
-    StepOutOfRegion,
-)
-from .flow import (
-    Trajectory,
-    diamond_flow,
-    generator,
-    integrate_flow_rk4,
-    proper_acceleration,
-    proper_time_rate,
-    sample_trajectory,
-    wedge_flow,
-)
-from .geometry import (
-    DiamondSpec,
-    NullRadialCoords,
-    SpacetimePoint,
-    WedgeSpec,
-    diamond_to_wedge,
-    from_null,
-    in_diamond,
-    in_wedge,
-    minkowski_square,
-    ray_inversion,
-    to_null,
-    wedge_to_diamond,
-)
-from .limits import (
-    DeviationReport,
-    RegimeMap,
-    deviation_scan,
-    regime_map,
-)
-from .thermo import (
-    FourMomentum,
-    TemperatureSample,
-    acceleration_at,
-    agreement_window,
-    beta_field,
-    diamond_temperature,
-    radius_along_flow,
-    relative_entropy,
-    temperature_ratio,
-    wedge_temperature,
-)
+# Each module's __all__ lists its public names once; the package re-exports
+# them, and its own __all__ is their union.
+from . import errors, flow, geometry, limits, thermo
+from .errors import *
+from .flow import *
+from .geometry import *
+from .limits import *
+from .thermo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DiamondflowError",
-    "LightlikeInput",
-    "OutOfRegion",
-    "OutOfRange",
-    "StepOutOfRegion",
-    "NonpositiveAcceleration",
-    "SpecMismatch",
-    "SpacetimePoint",
-    "NullRadialCoords",
-    "WedgeSpec",
-    "DiamondSpec",
-    "minkowski_square",
-    "to_null",
-    "from_null",
-    "in_wedge",
-    "in_diamond",
-    "ray_inversion",
-    "wedge_to_diamond",
-    "diamond_to_wedge",
-    "Trajectory",
-    "wedge_flow",
-    "diamond_flow",
-    "generator",
-    "proper_time_rate",
-    "integrate_flow_rk4",
-    "sample_trajectory",
-    "proper_acceleration",
-    "TemperatureSample",
-    "FourMomentum",
-    "beta_field",
-    "wedge_temperature",
-    "diamond_temperature",
-    "acceleration_at",
-    "temperature_ratio",
-    "radius_along_flow",
-    "agreement_window",
-    "relative_entropy",
-    "DeviationReport",
-    "RegimeMap",
-    "deviation_scan",
-    "regime_map",
-]
+__all__ = ["__version__", *errors.__all__, *geometry.__all__, *flow.__all__,
+           *thermo.__all__, *limits.__all__]

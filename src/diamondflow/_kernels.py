@@ -201,10 +201,11 @@ def thermal(u_plus, u_minus, size: float):
     T diverges toward the boundary and is 1/(pi L) at the center.  L enters
     each formula as one factor, never as L^2, and pi L is formed at a
     quarter scale above L = 1, so T is finite up to L = DBL_MAX and
-    overflows to inf only toward L = 0, where T itself does; a, formed as
-    (2 pi T) r/L, is inf once 2 pi T is.  Only + - * /, abs and sqrt
-    appear, all correctly rounded, so a float pair and an array element
-    give the same bits.  Needs q+ q- > 0: strictly interior pairs.
+    overflows to inf only toward L = 0, where T itself does; a = (2 pi T) r/L
+    is formed at an eighth of the scale below L = 2^-512, so it overflows
+    only where a does.  Only + - * /, abs and sqrt appear, all correctly
+    rounded, so a float pair and an array element give the same bits.
+    Needs q+ q- > 0: strictly interior pairs.
     """
     vp, qp, beta_p = null_beta(u_plus, size)
     vm, qm, beta_m = null_beta(u_minus, size)
@@ -212,6 +213,9 @@ def thermal(u_plus, u_minus, size: float):
     k, pi_size = _pi_size(size)
     temperature = k / (pi_size * root)
     ratio = 0.5 * abs(vp - vm)
-    return (beta_p, beta_m, 0.5 * size * root, temperature,
-            2.0 * np.pi * temperature * ratio, ratio)
+    if size < 2.0 ** -512:  # exact: here no nonzero a is subnormal
+        a = 0.25 * np.pi * temperature * ratio * 8.0
+    else:
+        a = 2.0 * np.pi * temperature * ratio
+    return beta_p, beta_m, 0.5 * size * root, temperature, a, ratio
 

@@ -124,14 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
     positive = partial(_real, positive=True)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, cmd, start=None, regions=("diamond", "wedge"), trange=True):
+    def common(p, cmd, start=None, wedge=True, trange=True):
         # start: the parser or group that takes one --start, or "many".
         p.set_defaults(cmd=cmd)
-        if regions:
-            p.add_argument("--region", choices=regions, default="diamond")
+        if wedge:
+            p.add_argument("--region", choices=("diamond", "wedge"), default="diamond")
         p.add_argument("--L", type=positive, default=1.0)
         p.add_argument("--L1", type=_real, default=0.0)
-        p.add_argument("--apex", type=_real, default=0.0)
+        if wedge:
+            p.add_argument("--apex", type=_real, default=0.0)
         if start == "many":
             p.add_argument("--start", type=_pair, action="append", default=[], metavar="ZP,ZM")
         elif start is not None:
@@ -145,14 +146,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("field", help="export the temperature field on a grid")
-    common(p, cmd_field, regions=("diamond",), trange=False)
+    common(p, cmd_field, wedge=False, trange=False)
     p.add_argument("--grid", type=partial(_count, minimum=2, rows=lambda n: n * (n + 1) // 2),
                    default=32)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("limits", help="compare the exact flow against a limit form")
     starts_or_grid = p.add_mutually_exclusive_group()
-    common(p, cmd_limits, start=starts_or_grid, regions=())
+    common(p, cmd_limits, start=starts_or_grid, wedge=False)
     p.add_argument("--mode", choices=MODES, required=True)
     starts_or_grid.add_argument("--grid", type=partial(_count, minimum=1), help=(
         "regime map over N starts instead of one --start scan; "
@@ -164,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cmd_plot, start="many")
     # The cell cap applies only with --shade; _check_shade tests it.
     p.add_argument("--grid", type=partial(_count, minimum=1, rows=lambda n: 0), default=24)
-    p.add_argument("--format", choices=("svg",), default="svg")
     p.add_argument("--hyperbola-w", type=partial(_real, finite=False, positive=True))
     p.add_argument("--shade", action="store_true")
     return ap
@@ -203,10 +203,17 @@ def cmd_traj(args: argparse.Namespace) -> str:
 _FIELD_COLS = ("z_plus", "z_minus", "beta_plus", "beta_minus", "T", "a", "ratio")
 
 
+def _margin_axis(L: float, n: int) -> np.ndarray:
+    """n points from -L + m to L - m, m = _FIELD_MARGIN L, by np.linspace at a
+    quarter scale above L = 1: exact, and its stop - start cannot overflow."""
+    k = 0.25 if L > 1.0 else 1.0
+    m = _FIELD_MARGIN * L
+    return np.linspace(k * (-L + m), k * (L - m), n) / k
+
+
 def cmd_field(args: argparse.Namespace) -> str:
     L = args.L
-    m = _FIELD_MARGIN * L
-    axis = np.linspace(-L + m, L - m, args.grid)
+    axis = _margin_axis(L, args.grid)
     # One row per pair up >= um, up-major: the lower triangle of the axis grid.
     i, j = np.tril_indices(args.grid)
     up, um = axis[i], axis[j]
@@ -258,8 +265,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
 def _shade_cells(d: DiamondSpec, n: int):
     """Quad corners (x1, x0), each (n*n, 4), and values of the heat map cells."""
     L, L1 = d.size_L, d.translation_L1
-    m = _FIELD_MARGIN * L
-    edges = np.linspace(-L + m, L - m, n + 1)
+    edges = _margin_axis(L, n + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # The shade is sqrt((1 - v+^2)(1 - v-^2)) = ||beta||/(L/2), 1 at the center.
     _, _, norm, _, _, _ = thermal(np.repeat(centers, n), np.tile(centers, n), L)

@@ -4,6 +4,16 @@ Everything derives from ValueError so callers who do not care about the
 distinction can catch one base class.
 """
 
+__all__ = [
+    "DiamondflowError",
+    "LightlikeInput",
+    "OutOfRegion",
+    "OutOfRange",
+    "StepOutOfRegion",
+    "NonpositiveAcceleration",
+    "SpecMismatch",
+]
+
 
 class DiamondflowError(ValueError):
     """Base class for all domain errors raised by this package."""

@@ -114,12 +114,8 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
     The diamond generator has null components beta_pm = L/(2 cosh^2 rho_pm).
     """
     if isinstance(spec, WedgeSpec):
-        if not isinstance(point, SpacetimePoint):
-            raise TypeError("wedge generator expects a SpacetimePoint")
         require_in_wedge(point, spec)
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
-    if not isinstance(point, NullRadialCoords):
-        raise TypeError("diamond generator expects NullRadialCoords")
     axis = require_interior_null(point, spec)[2]
     beta_p, beta_m = beta_field(point, spec)
     bt, bs = 0.5 * (beta_p + beta_m), 0.5 * (beta_p - beta_m)

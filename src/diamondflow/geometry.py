@@ -36,7 +36,6 @@ __all__ = [
     "ray_inversion",
     "wedge_to_diamond",
     "diamond_to_wedge",
-    "centered_null_pair",
 ]
 
 # Unit-vector tolerance for NullRadialCoords directions.
@@ -51,6 +50,16 @@ BOUNDARY_MARGIN = 1e-10
 _AXIS_TOL = 1e-9
 
 
+def _finite_fields(obj, names, error, message) -> None:
+    """Store each named field of the frozen dataclass obj as a float; raise
+    error(message), formatted with the field's name and value, on a non-finite one."""
+    fields = obj.__dict__  # frozen: its __setattr__ refuses
+    for name in names:
+        v = fields[name] = float(fields[name])
+        if not math.isfinite(v):
+            raise error(message.format(name=name, value=v))
+
+
 @dataclass(frozen=True)
 class SpacetimePoint:
     """Event with coordinates in length units, signature (+,-,-,-)."""
@@ -61,11 +70,8 @@ class SpacetimePoint:
     x3: float = 0.0
 
     def __post_init__(self):
-        for name in ("x0", "x1", "x2", "x3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise OutOfRange(f"non-finite coordinate {name}={v!r}")
-            object.__setattr__(self, name, v)
+        _finite_fields(self, ("x0", "x1", "x2", "x3"), OutOfRange,
+                       "non-finite coordinate {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,20 +89,16 @@ class NullRadialCoords:
     direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        zp = float(self.z_plus)
-        zm = float(self.z_minus)
-        if not (math.isfinite(zp) and math.isfinite(zm)):
-            raise OutOfRange("non-finite null coordinate")
+        _finite_fields(self, ("z_plus", "z_minus"), OutOfRange, "non-finite null coordinate")
+        zp, zm = self.z_plus, self.z_minus
         if zp < zm:
             raise OutOfRange(f"null ordering violated: z_plus={zp} < z_minus={zm}")
         d = tuple(float(c) for c in self.direction)
         if len(d) != 3:
             raise ValueError("direction must have three components")
         norm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if abs(norm - 1.0) > _DIRECTION_TOL:
+        if not abs(norm - 1.0) <= _DIRECTION_TOL:  # a nan component too
             raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-        object.__setattr__(self, "z_plus", zp)
-        object.__setattr__(self, "z_minus", zm)
         object.__setattr__(self, "direction", d)
 
     @property
@@ -122,10 +124,7 @@ class WedgeSpec:
     apex_x1: float = 0.0
 
     def __post_init__(self):
-        v = float(self.apex_x1)
-        if not math.isfinite(v):
-            raise ValueError("non-finite apex")
-        object.__setattr__(self, "apex_x1", v)
+        _finite_fields(self, ("apex_x1",), ValueError, "non-finite apex")
 
 
 @dataclass(frozen=True)
@@ -136,14 +135,10 @@ class DiamondSpec:
     translation_L1: float = 0.0
 
     def __post_init__(self):
-        size = float(self.size_L)
-        shift = float(self.translation_L1)
-        if not (math.isfinite(size) and math.isfinite(shift)):
-            raise ValueError("non-finite diamond parameter")
-        if size <= 0.0:
-            raise ValueError(f"size_L must be positive, got {size!r}")
-        object.__setattr__(self, "size_L", size)
-        object.__setattr__(self, "translation_L1", shift)
+        _finite_fields(self, ("size_L", "translation_L1"), ValueError,
+                       "non-finite diamond parameter")
+        if self.size_L <= 0.0:
+            raise ValueError(f"size_L must be positive, got {self.size_L!r}")
 
 
 def minkowski_square(x: SpacetimePoint) -> float:
@@ -184,7 +179,9 @@ def in_wedge(x: SpacetimePoint, w: WedgeSpec) -> bool:
 
 
 def require_in_wedge(x: SpacetimePoint, w: WedgeSpec) -> None:
-    """Raise OutOfRegion unless x lies in the open wedge w."""
+    """Raise OutOfRegion unless the SpacetimePoint x lies in the open wedge w."""
+    if not isinstance(x, SpacetimePoint):
+        raise TypeError(f"a wedge point must be a SpacetimePoint, got {type(x).__name__}")
     if not in_wedge(x, w):
         raise OutOfRegion(f"{x} is not in the wedge with apex {w.apex_x1}")
 
@@ -239,8 +236,10 @@ def centered_null_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, floa
     diamond any direction works and xi equals the radius; a translated
     diamond supports only directions along +-e1, and xi = x1 - L1 may
     then be negative.  Returns (u_plus, u_minus, axis) with axis the
-    unit 3-vector the signed xi refers to.
+    unit 3-vector the signed xi refers to.  z must be NullRadialCoords.
     """
+    if not isinstance(z, NullRadialCoords):
+        raise TypeError(f"a diamond point must be NullRadialCoords, got {type(z).__name__}")
     if d.translation_L1 == 0.0:
         return z.z_plus, z.z_minus, z.direction
     dirv = z.direction

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import NonpositiveAcceleration, OutOfRange
-from .geometry import DiamondSpec, NullRadialCoords, require_interior_null
+from .geometry import DiamondSpec, NullRadialCoords, _finite_fields, require_interior_null
 
 __all__ = [
     "TemperatureSample",
@@ -50,11 +50,8 @@ class FourMomentum:
     p3: float = 0.0
 
     def __post_init__(self):
-        for name in ("p0", "p1", "p2", "p3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite component {name}={v!r}")
-            object.__setattr__(self, name, v)
+        _finite_fields(self, ("p0", "p1", "p2", "p3"), ValueError,
+                       "non-finite component {name}={value!r}")
 
 
 def beta_field(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -146,6 +147,11 @@ _INVALID = [
     # the regime map picks its own starts, so --start beside --grid is refused
     ("limits --mode wedge --grid 4 --start 0.5,-0.5", "--grid"),
     ("limits --mode minkowski --start=0.3,-0.9 --grid 2 --t 0:1:3", "--start"),
+    # --region and --apex belong to traj and plot; plot writes only SVG
+    ("field --region diamond", "--region"),
+    ("field --apex 0", "--apex"),
+    ("limits --mode wedge --apex 0.5", "--apex"),
+    ("plot --format svg", "--format"),
 ]
 
 
@@ -216,6 +222,9 @@ _RANGE_EDGES = [
     # pi L overflows, and at 1e308 the start's z_plus - z_minus too
     "field --grid 3 --L 8e307",
     "traj --L 1e308 --start 0.99e308,-0.99e308",
+    # 2L overflows, and at 1e-308 2 pi T where a itself fits
+    "field --grid 3 --L 1e308",
+    "traj --L 1e-308 --start 0.5e-308,-0.5e-308",
 ]
 
 
@@ -239,7 +248,9 @@ def _check_traj(text, L, start):
 
 
 def _check_field(text, L, grid):
-    axis = np.linspace(-L + 1e-3 * L, L - 1e-3 * L, grid)
+    # np.linspace(-L + m, L - m, grid), formed at a quarter of the scale,
+    # which is exact, so 2L cannot overflow
+    axis = 4.0 * np.linspace(0.25 * (-L + 1e-3 * L), 0.25 * (L - 1e-3 * L), grid)
     pairs = [(p, m) for p in axis for m in axis if p >= m]
     rows = _rows(text)
     assert len(rows) == len(pairs)
@@ -635,6 +646,38 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert argv[0] == "diamondflow", argv
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+# The option strings of each subcommand, besides -h, --help and the --L,
+# --L1 and --out that all of them take.
+_OPTIONS = {
+    "traj": {"--region", "--apex", "--start", "--t", "--format"},
+    "field": {"--grid", "--format"},
+    "limits": {"--mode", "--start", "--grid", "--t", "--tol", "--format"},
+    "plot": {"--region", "--apex", "--start", "--t", "--grid", "--hyperbola-w", "--shade"},
+}
+
+
+def test_subcommand_options_match_readme():
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    for name, parser in sub.choices.items():
+        options = {s for action in parser._actions for s in action.option_strings}
+        assert options == _OPTIONS[name] | {"-h", "--help", "--L", "--L1", "--out"}, name
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", text, re.MULTILINE)
+    assert {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in rows} == _OPTIONS
+
+
+def test_console_script_resolves(monkeypatch, capsys):
+    # pyproject's [project.scripts] entry, resolved and run as the installed
+    # script would run it, without an install
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["diamondflow"]
+    module, name = target.split(":")
+    monkeypatch.setattr(sys, "argv", ["diamondflow", "traj", "--t", "0:1:2"])
+    assert getattr(importlib.import_module(module), name)() == 0
+    assert capsys.readouterr().out.startswith("t,z_plus,z_minus")
 
 
 @pytest.mark.skipif(

@@ -345,6 +345,27 @@ def test_conjugation_identity():
     assert worst < 1e-9
 
 
+# ------------------------------------------------------------------ point types
+
+@pytest.mark.parametrize("point, spec", [
+    (NullRadialCoords(0.5, -0.5), WEDGE),
+    (SpacetimePoint(0.0, 0.5), UNIT),
+    ((0.0, 0.5), WEDGE),
+    ((0.5, -0.5), UNIT),
+])
+def test_region_functions_reject_wrong_point_type(point, spec):
+    # the validators check the type, so each function raises TypeError,
+    # not an AttributeError from deep inside
+    flow = wedge_flow if isinstance(spec, WedgeSpec) else diamond_flow
+    calls = [lambda: flow(point, 0.5, spec), lambda: generator(point, spec),
+             lambda: integrate_flow_rk4(point, 0.5, 8, spec),
+             lambda: sample_trajectory(point, -1.0, 1.0, 5, spec),
+             lambda: proper_acceleration(point, spec)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 # ------------------------------------------------------------------ generator
 
 def test_generator_wedge():

@@ -19,6 +19,7 @@ from diamondflow.geometry import (
     to_null,
     wedge_to_diamond,
 )
+from diamondflow.thermo import FourMomentum
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -39,6 +40,31 @@ def test_point_rejects_nonfinite():
         SpacetimePoint(0, math.inf)
     with pytest.raises(OutOfRange):
         NullRadialCoords(math.inf, 0.0)
+
+
+# The five value types, valid arguments, and the exception each raises for
+# a non-finite field.
+_VALUE_TYPES = [
+    (SpacetimePoint, (0.0, 1.0, 2.0, 3.0), OutOfRange),
+    (NullRadialCoords, (0.5, -0.5), OutOfRange),
+    (WedgeSpec, (0.5,), ValueError),
+    (DiamondSpec, (2.0, 0.5), ValueError),
+    (FourMomentum, (1.0, 0.5, 0.25, 0.125), ValueError),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, args, error", _VALUE_TYPES, ids=lambda v: getattr(v, "__name__", ""))
+def test_value_types_reject_nonfinite_fields(cls, args, error, bad):
+    assert all(type(v) is float for v in vars(cls(*map(int, args))).values()
+               if not isinstance(v, tuple))
+    for k in range(len(args)):
+        with pytest.raises(error) as info:
+            cls(*args[:k], bad, *args[k + 1:])
+        assert type(info.value) is error, (cls, k)
+    if cls is NullRadialCoords:
+        with pytest.raises(ValueError):
+            NullRadialCoords(*args, (bad, 0.0, 0.0))
 
 
 def test_null_coords_basics():

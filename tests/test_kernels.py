@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from _helpers import orbit_ref, rk4_wedge_reference
+from _helpers import orbit_ref, rk4_wedge_reference, thermal_ref
 from diamondflow import _kernels as K
 from diamondflow.geometry import BOUNDARY_MARGIN, DiamondSpec, from_null, null_from_centered
 
@@ -137,6 +137,31 @@ def test_global_null_matches_scalar_path():
                                    DiamondSpec(L, L1))
             x = from_null(z)
             assert (zp[k], zm[k], x0[k], x1[k]) == (z.z_plus, z.z_minus, x.x0, x.x1)
+
+
+def test_thermal_acceleration_eighth_scale():
+    # Below L = 2^-512, a = 2 pi T r/L is formed at an eighth of the scale:
+    # the bits of (2 pi T) r/L wherever that is finite, over the whole
+    # exponent range, and finite, as mpmath gives it, where only 2 pi T
+    # overflows.
+    rng = np.random.default_rng(23)
+    for e in range(-1074, 1024):
+        L = 1.37 * 2.0 ** e
+        if not 0.0 < L < math.inf:
+            continue
+        up, um = rng.uniform(-0.999, 0.999, (2, 16)) * L
+        with np.errstate(all="ignore"):
+            _, _, _, T, a, ratio = K.thermal(up, um, L)
+            want = 2.0 * np.pi * T * ratio
+        finite = np.isfinite(want)
+        assert np.array_equal(a[finite], want[finite]), L
+    for L, vp, vm in ((1e-308, 0.5, -0.5), (2.0 ** -1022, 0.9, -0.3), (5e-308, 0.99, 0.9)):
+        up, um = vp * L, vm * L
+        with np.errstate(over="ignore"):
+            assert 2.0 * np.pi * K.thermal(up, um, L)[3] == math.inf
+        a, ref = K.thermal(up, um, L)[4], thermal_ref(up, um, L)["a"]
+        q = min(1.0 - vp * vp, 1.0 - vm * vm)
+        assert abs(a - ref) <= 4 * 2.0 ** -52 / q * ref, (L, a, ref)
 
 
 def test_thermal_quarter_scale_keeps_bits():
