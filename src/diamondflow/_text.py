@@ -9,6 +9,9 @@ A json cell re-lays the 13 digits of `%.12e`: a decimal of at most 15
 significant digits survives the round trip through a normal double, so repr
 gives back those digits without their trailing zeros.  Zero and whatever
 `%.12e` leaves to `%` go through repr itself.
+
+`lines` lays out rows of text and cells, one `cells` call per spec per block of
+at most BLOCK_CELLS cells, and returns each block's rows as one bytes chunk.
 """
 
 import numpy as np
@@ -109,9 +112,13 @@ def _repr(x):
     zeros = np.where(b3, 0, 1 + np.where(b2, _TRAILING[b2], 4 + np.where(
         b1, _TRAILING[b1], 4 + _TRAILING[b0])))
     cls = np.where((e >= -4) & (e < 16), e + 4, 20)
-    rows = 24 * np.arange(q.size).reshape(*q.shape, 1)
-    return src.reshape(-1)[rows + _LAYOUT[(21 * neg + cls) * 13 + 12 - zeros]], ok & (q != 0)
+    index = _LAYOUT[(21 * neg + cls) * 13 + 12 - zeros]  # 160 bytes a cell: built in place
+    index += 24 * np.arange(q.size).reshape(*q.shape, 1)
+    return src.reshape(-1)[index], ok & (q != 0)
 
+
+# A cells call costs as much as a few thousand cells, and json takes ~300 B a cell.
+BLOCK_CELLS = 4096
 
 _KERNELS = {
     "%.12e": (_sci, "%.12e".__mod__),
@@ -139,10 +146,29 @@ def cells(x: np.ndarray, spec: str) -> np.ndarray:
     return out
 
 
-def join(parts, sep: str) -> str:
-    """Rows of parts (str, the same in every row, or (n, w) cells) joined by sep, no filler."""
-    n = next(len(p) for p in parts if not isinstance(p, str))
-    blocks = [np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (n, len(p)))
-              if isinstance(p, str) else p for p in (*parts, sep)]
-    buf = np.concatenate(blocks, axis=1).ravel()
-    return buf[:buf.size - len(sep)].tobytes().translate(None, b"\0").decode("ascii")
+def lines(parts, sep: str) -> list[bytes]:
+    """ASCII rows of parts separated by sep, none after the last, as byte chunks.
+
+    A part is str, the same in every row, or (values, spec), whose row i is
+    `cells(values, spec)[i]` without filler; a chunk is one block's rows.
+    """
+    groups = {}  # spec: the values of its parts, in row order
+    layout = []  # per part and sep: its bytes, or (spec, index in the group)
+    for part in (*parts, sep):
+        if isinstance(part, str):
+            layout.append(np.frombuffer(part.encode(), np.uint8))
+        else:  # (values, spec)
+            layout.append((part[1], len(groups.setdefault(part[1], []))))
+            groups[part[1]].append(part[0])
+    n = len(next(iter(groups.values()))[0])
+    step = max(1, BLOCK_CELLS // sum(map(len, groups.values())))
+    chunks = []
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        text = {spec: cells(np.stack([v[lo:lo + m] for v in group], axis=1), spec)
+                for spec, group in groups.items()}
+        block = np.concatenate([np.broadcast_to(p, (m, p.size)) if isinstance(p, np.ndarray)
+                                else text[p[0]][:, p[1]] for p in layout], axis=1)
+        chunks.append(block.tobytes().translate(None, b"\0"))
+    chunks[-1] = chunks[-1][:len(chunks[-1]) - len(sep)]
+    return chunks

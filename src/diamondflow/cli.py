@@ -20,7 +20,7 @@ from functools import cache, partial
 import numpy as np
 
 from ._kernels import global_null, thermal
-from ._text import cells, join
+from ._text import lines
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import Trajectory, sample_trajectory
@@ -36,8 +36,8 @@ MAX_OUTPUT_ROWS = 10_000_000
 
 # ------------------------------------------------------------------ formatting
 
-def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
-    """CSV or JSON text of equal-length columns, one row per element.
+def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[bytes]:
+    """CSV or JSON bytes of equal-length columns, one row per element.
 
     Float columns print as %.12e, with -0.0 written as 0.0, and in JSON as
     the shortest repr of that value; a column with a non-finite value is
@@ -52,24 +52,21 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> str:
     columns = [(col.astype(np.int64), "%d") if col.dtype == np.bool_ else (col + 0.0, float_spec)
                for col in columns]
     if fmt == "csv":
-        row = [part for col, spec in columns for part in (",", cells(col, spec))]
-        lines = [",".join(names), join(row[1:], "\n")]
-        if footer_text is not None:
-            lines.append(footer_text)
-        return "\n".join([*lines, ""])
-    row = [part for name, (col, spec) in zip(names, columns)
-           for part in (f',"{name}":', cells(col, spec))]
+        row = [part for col in columns for part in (",", col)]
+        footer = "" if footer_text is None else footer_text + "\n"
+        return [f"{','.join(names)}\n".encode(), *lines(row[1:], "\n"), f"\n{footer}".encode()]
+    row = [part for name, col in zip(names, columns) for part in (f',"{name}":', col)]
     head = '{"columns":[' + ",".join(f'"{name}"' for name in names) + '],"rows":['
     tail = "".join(f',"{key}":{value!r}' for key, value in (footer_fields or {}).items())
-    return head + join(["{" + row[0][1:], *row[1:], "}"], ",") + "]" + tail + "}\n"
+    return [head.encode(), *lines(["{" + row[0][1:], *row[1:], "}"], ","), f"]{tail}}}\n".encode()]
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks: list[bytes], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
 
 
 # ------------------------------------------------------------------- parsing
@@ -194,7 +191,7 @@ def _orbit(args: argparse.Namespace, start: tuple[float, float]) -> Trajectory:
 _TRAJ_COLS = ("t", "z_plus", "z_minus", "x0", "x1", "T", "a")
 
 
-def cmd_traj(args: argparse.Namespace) -> str:
+def cmd_traj(args: argparse.Namespace) -> list[bytes]:
     tr = _orbit(args, args.start or ((1.0, -1.0) if args.region == "wedge" else (0.0, 0.0)))
     return _emit(_TRAJ_COLS, (tr.t_values, tr.z_plus, tr.z_minus, tr.x0, tr.x1,
                               tr.temperature(), tr.acceleration()), args.format)
@@ -211,7 +208,7 @@ def _margin_axis(L: float, n: int) -> np.ndarray:
     return np.linspace(k * (-L + m), k * (L - m), n) / k
 
 
-def cmd_field(args: argparse.Namespace) -> str:
+def cmd_field(args: argparse.Namespace) -> list[bytes]:
     L = args.L
     axis = _margin_axis(L, args.grid)
     # One row per pair up >= um, up-major: the lower triangle of the axis grid.
@@ -227,7 +224,7 @@ _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
 _REGIME_COLS = ("r", "ratio", "max_rel_dev", "within_tol")
 
 
-def cmd_limits(args: argparse.Namespace) -> str:
+def cmd_limits(args: argparse.Namespace) -> list[bytes]:
     d = DiamondSpec(args.L, args.L1)
     if args.grid is not None:
         rm = regime_map(args.mode, d, args.t[1], args.tol, args.grid)
@@ -247,19 +244,19 @@ def cmd_limits(args: argparse.Namespace) -> str:
     return _emit(_SCAN_COLS, columns, args.format, footer, fields)
 
 
-def cmd_plot(args: argparse.Namespace) -> str:
+def cmd_plot(args: argparse.Namespace) -> list[bytes]:
     orbits = [_orbit(args, start) for start in args.start]
-    lines = [(tr.x1, tr.x0) for tr in orbits]
+    paths = [(tr.x1, tr.x0) for tr in orbits]
     if args.region == "diamond":
         L, L1 = args.L, args.L1
         outline = ([L1, L1 + L, L1, L1 - L], [L, 0.0, -L, 0.0])
         shade = _shade_cells(DiamondSpec(L, L1), args.grid) if args.shade else None
-        return render_figure(outline, True, lines, args.hyperbola_w, shade)
+        return render_figure(outline, True, paths, args.hyperbola_w, shade)
     reach = 1.0
     for tr in orbits:
         reach = max(reach, float(np.abs(tr.x0).max()), float((tr.x1 - args.apex).max()))
     outline = ([args.apex + reach, args.apex, args.apex + reach], [reach, 0.0, -reach])
-    return render_figure(outline, False, lines, args.hyperbola_w)
+    return render_figure(outline, False, paths, args.hyperbola_w)
 
 
 def _shade_cells(d: DiamondSpec, n: int):
@@ -289,7 +286,7 @@ def main(argv=None) -> int:
         # numpy overflow and NaN become exceptions, so no kernel result
         # reaches the output unchecked.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            text = args.cmd(args)
+            chunks = args.cmd(args)
     except SpecMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -299,7 +296,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
-    _write(text, args.out)
+    _write(chunks, args.out)
     return 0
 
 

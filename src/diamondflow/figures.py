@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._text import cells, join
+from ._text import lines
 from .errors import OutOfRange
 
 _W = 640
@@ -46,18 +46,18 @@ class _Frame:
         self.y_lo, self.y_hi = y_lo, y_hi
 
     def to_px(self, x1, x0):
-        """Pixel coordinates of world points, x and y interleaved on the last axis."""
+        """Pixel coordinates (x, y) of world points."""
         px = 0.5 * _W + (np.asarray(x1, dtype=np.float64) - self.x_mid) * self.scale
         py = 0.5 * _H - (np.asarray(x0, dtype=np.float64) - self.y_mid) * self.scale
-        return np.stack([px, py], axis=-1).reshape(*px.shape[:-1], -1)
+        return px, py
 
     def points_attr(self, x1, x0):
-        xy = cells(self.to_px(x1, x0), "%.4f")
-        return join([xy[0::2], ",", xy[1::2]], " ")
+        px, py = self.to_px(x1, x0)
+        return lines([(px, "%.4f"), ",", (py, "%.4f")], " ")
 
 
 def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
-    """Assemble the SVG document.
+    """The SVG document as byte chunks.
 
     outline: (x1, x0) vertex arrays; closed draws a polygon, open a
     polyline.  orbits: list of (x1, x0) arrays.  hyperbola_w: if set,
@@ -68,33 +68,30 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
     groups = [outline, *orbits] + ([shade[:2]] if shade is not None else [])
     frame = _Frame(*_bounds(groups))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">\n'
+            f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
+    chunks = [head.encode()]
     if shade is not None:
         x1, x0, value = shade
-        xy = cells(frame.to_px(x1, x0), "%.4f")
-        g = cells(np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64), "%d")
-        points = [part for k in range(8) for part in (" ,"[k % 2], xy[:, k])][1:]
-        parts.append(join(['<polygon points="', *points, '" fill="rgb(255,', g, ",", g,
-                           ')" stroke="none"/>'], "\n"))
-    tag = "polygon" if closed else "polyline"
-    parts.append(f'<{tag} points="{frame.points_attr(*outline)}" '
-                 f'fill="none" stroke="black" stroke-width="1.5"/>')
+        px, py = frame.to_px(x1, x0)
+        g = (np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64), "%d")
+        points = [part for k in range(4)
+                  for part in (" ", (px[:, k], "%.4f"), ",", (py[:, k], "%.4f"))][1:]
+        chunks += [*lines(['<polygon points="', *points, '" fill="rgb(255,', g, ",", g,
+                           ')" stroke="none"/>'], "\n"), b"\n"]
+    # The outline has three or four vertices; a shorter hyperbola or orbit is left out.
+    shapes = [("polygon" if closed else "polyline", outline, 'stroke="black" stroke-width="1.5"')]
     if hyperbola_w is not None:
-        x1, x0 = _hyperbola_points(hyperbola_w, frame)
+        shapes.append(("polyline", _hyperbola_points(hyperbola_w, frame),
+                       'stroke="steelblue" stroke-width="1.2" stroke-dasharray="6 4"'))
+    shapes += [("polyline", orbit, 'stroke="crimson" stroke-width="1.2"') for orbit in orbits]
+    for tag, (x1, x0), style in shapes:
         if len(x1) >= 2:
-            parts.append(f'<polyline points="{frame.points_attr(x1, x0)}" '
-                         f'fill="none" stroke="steelblue" stroke-width="1.2" '
-                         f'stroke-dasharray="6 4"/>')
-    for x1, x0 in orbits:
-        if len(x1) >= 2:
-            parts.append(f'<polyline points="{frame.points_attr(x1, x0)}" '
-                         f'fill="none" stroke="crimson" stroke-width="1.2"/>')
-    parts += ["</svg>", ""]
-    return "\n".join(parts)
+            chunks += [f'<{tag} points="'.encode(), *frame.points_attr(x1, x0),
+                       f'" fill="none" {style}/>\n'.encode()]
+    chunks.append(b"</svg>\n")
+    return chunks
 
 
 def _hyperbola_points(w, frame, n=257):

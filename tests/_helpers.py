@@ -3,9 +3,10 @@
 Each reference evaluates one closed form of the package at 40 significant
 digits: the diamond orbit u(t), the temperature from the rapidities, the
 thermal set in v = u/L form and the wedge boost.  emit_json_reference is
-the CLI's JSON writer written with json.dumps, one dict per row, and
-proper_acceleration_points_reference the finite-difference oracle with one
-scalar flow call and point object per position.
+the CLI's JSON writer written with json.dumps, one dict per row,
+lines_reference the row formatter with one cells call per column over the
+whole table, and proper_acceleration_points_reference the finite-difference
+oracle with one scalar flow call and point object per position.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from diamondflow import _kernels
+from diamondflow._text import cells
 from diamondflow.errors import OutOfRange
 from diamondflow.flow import _solve_tau, diamond_flow, wedge_flow
 from diamondflow.geometry import (
@@ -105,6 +107,22 @@ def emit_json_reference(names, columns, fmt, footer_text=None, footer_fields=Non
     if footer_fields:
         doc.update(footer_fields)
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# --------------------------------------------------- row formatter reference
+
+def join(parts, sep: str) -> str:
+    """Rows of parts (str, the same in every row, or (n, w) cells) joined by sep, no filler."""
+    n = next(len(p) for p in parts if not isinstance(p, str))
+    blocks = [np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (n, len(p)))
+              if isinstance(p, str) else p for p in (*parts, sep)]
+    buf = np.concatenate(blocks, axis=1).ravel()
+    return buf[:buf.size - len(sep)].tobytes().translate(None, b"\0").decode("ascii")
+
+
+def lines_reference(parts, sep):
+    """_text.lines with one cells call per column over all rows, as one chunk."""
+    return [join([p if isinstance(p, str) else cells(*p) for p in parts], sep).encode()]
 
 
 # ------------------------------------------------------- oracle references

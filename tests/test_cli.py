@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,13 +19,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import emit_json_reference, mpmath40, orbit_ref, temperature_ref, thermal_ref
-from diamondflow import cli
+from _helpers import (
+    emit_json_reference,
+    lines_reference,
+    mpmath40,
+    orbit_ref,
+    temperature_ref,
+    thermal_ref,
+)
+from diamondflow import _text, cli, figures
 from diamondflow.cli import MAX_OUTPUT_ROWS, _build_parser, _check_shade, main
 from diamondflow.geometry import DiamondSpec, NullRadialCoords
 from diamondflow.thermo import acceleration_at, diamond_temperature
 
 GOLDEN = Path(__file__).parent / "golden"
+EPS = 2.0 ** -52
 
 
 def run_cli(*args):
@@ -256,8 +265,19 @@ def _check_field(text, L, grid):
     assert len(rows) == len(pairs)
     for row, (up, um) in zip(rows, pairs):
         want = thermal_ref(up, um, L)
-        for col in ("beta_plus", "beta_minus", "T", "a", "ratio"):
-            assert _near(row[col], want[col], rel=4e-16), (row, col, want[col])
+        # The program rounds v = u/L once.  q = 1 - v^2 carries that rounding
+        # amplified by 1/q (up to 500 at the faces, |v| = 0.999), and
+        # r/L = |v+ - v-|/2 amplified by (|v+| + |v-|)/|v+ - v-| beside the
+        # diagonal; T = 1/(pi L sqrt(q+ q-)) and a = 2 pi T r/L add a few
+        # roundings.  The bound of test_thermal_matches_mpmath_up_to_dbl_max.
+        vp, vm = up / L, um / L
+        qp, qm = 1.0 - vp * vp, 1.0 - vm * vm
+        ratio = EPS * (abs(vp) + abs(vm)) / (2.0 * abs(vp - vm)) + EPS if vp != vm else 0.0
+        rel = {"beta_plus": 4 * EPS / qp, "beta_minus": 4 * EPS / qm,
+               "T": 4 * EPS / min(qp, qm), "ratio": ratio}
+        rel["a"] = rel["T"] + ratio + 2 * EPS
+        for col, bound in rel.items():
+            assert _near(row[col], want[col], rel=bound), (row, col, want[col])
 
 
 def _check_limits_scan(text, L, r):
@@ -330,6 +350,18 @@ def test_range_edge_values(command, capsys):
         center = (0.5 * (top[0] + bottom[0]), 0.5 * (top[1] + bottom[1]))
         assert orbit[2] == pytest.approx(((center[0] + right[0]) / 2, center[1]),
                                          abs=1e-4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.floats(-300.0, 300.0), st.integers(5, 9))
+def test_field_matches_mpmath_over_the_range_of_L(log_L, grid):
+    # L log-uniform in [1e-300, 1e300]: the faces' conditioning, not the
+    # grid's digits, sets how close each cell is.
+    L = 10.0 ** log_L
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["field", f"--L={L!r}", "--grid", str(grid)]) == 0
+    _check_field(out.getvalue(), L, grid)
 
 
 @st.composite
@@ -407,8 +439,11 @@ def test_fuzz_json_matches_reference(argv):
 
 def _json_reference_stdout(argv):
     """Stdout of main(argv) with the JSON written by emit_json_reference."""
+    def emit(*args):
+        return [emit_json_reference(*args).encode()]
+
     out = io.StringIO()
-    with mock.patch.object(cli, "_emit", emit_json_reference), contextlib.redirect_stdout(out):
+    with mock.patch.object(cli, "_emit", emit), contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
 
@@ -420,6 +455,63 @@ def test_large_json_matches_reference(capsys):
                     "limits --mode wedge --L 2 --L1 2 --grid 50 --t 0:3:2 --format json"):
         assert main(command.split()) == 0
         assert capsys.readouterr().out == _json_reference_stdout(command.split())
+
+
+# Tables of several row blocks: a field, an orbit in JSON, a scan, a regime
+# map (its within_tol column is %d), a shaded plot and a long polyline.
+_BLOCKED = [
+    "field --grid 40",
+    "field --grid 40 --L 3e-5 --format json",
+    "traj --t=-8:8:1001 --start=0.3,-0.3 --format json",
+    "limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001",
+    "limits --mode wedge --L1 1 --grid 1100 --t 0:1:3",
+    "limits --mode minkowski --grid 1100 --t 0:0.5:3 --format json",
+    "plot --shade --grid 30 --start 0.3,-0.3",
+    "plot --start 0.5,-0.5 --t=-8:8:5001 --hyperbola-w 0.4",
+]
+
+
+@pytest.mark.parametrize("command", _BLOCKED)
+def test_row_blocks_match_per_column_reference(command, capsys):
+    blocks = []
+
+    def counted(parts, sep):
+        chunks = _text.lines(parts, sep)
+        blocks.append(len(chunks))
+        return chunks
+
+    with mock.patch.object(cli, "lines", counted), mock.patch.object(figures, "lines", counted):
+        assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert max(blocks) >= 2
+    with (mock.patch.object(cli, "lines", lines_reference),
+          mock.patch.object(figures, "lines", lines_reference)):
+        assert main(command.split()) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_exit_3_leaves_no_partial_file(tmp_path):
+    # The finiteness check and the formatting finish before --out is opened.
+    out = tmp_path / "t.json"
+    assert main(["traj", "--t=-1500:1500:5", "--format", "json", "--out", str(out)]) == 3
+    assert main(["field", "--grid", "3", "--L", "1e-307", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["field --grid 400", "field --grid 400 --format json",
+                                     "plot --shade --grid 200"])
+def test_output_peak_memory(command, tmp_path):
+    # Rows are formatted in blocks and written as the blocks' bytes, so no
+    # full-size copy of the output is made: the peak traced allocation stays
+    # within three times the output (it was 5.3 to 6.1 times with copies).
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([*command.split(), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.stat().st_size
 
 
 # --------------------------------------------------------------- table content

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diamondflow._text import _fixed, _repr, _sci, cells, join
+from _helpers import join, lines_reference
+from diamondflow._text import BLOCK_CELLS, _fixed, _repr, _sci, cells, lines
 
 
 def _python(spec, v):
@@ -125,14 +126,13 @@ def test_kernels_leave_few_cells_to_percent():
 
 
 def test_join_rows_and_constant_text():
+    # lines joins rows of constant text and cells, one spec or several.
     x = np.array([[1.5, -2.0], [0.25, 1e10]])
-    xy = cells(x, "%.4f")
-    g = cells(np.array([7, 255]), "%d")
-    text = join(['<p a="', xy[:, 0], ",", xy[:, 1], '" g=', g, "/>"], "\n")
-    assert text == ('<p a="1.5000,-2.0000" g=7/>\n'
-                    '<p a="0.2500,10000000000.0000" g=255/>')
-    assert join([cells(np.array([1.0, 2.0]), "%.12e")], " ") == (
-        "1.000000000000e+00 2.000000000000e+00")
+    g = (np.array([7, 255]), "%d")
+    text = lines(['<p a="', (x[:, 0], "%.4f"), ",", (x[:, 1], "%.4f"), '" g=', g, "/>"], "\n")
+    assert text == [b'<p a="1.5000,-2.0000" g=7/>\n<p a="0.2500,10000000000.0000" g=255/>']
+    assert lines([(np.array([1.0, 2.0]), "%.12e")], " ") == [
+        b"1.000000000000e+00 2.000000000000e+00"]
 
 
 @pytest.mark.parametrize("spec", ["%.12e", "%.4f", "json"])
@@ -141,3 +141,38 @@ def test_cells_keep_the_array_shape(spec):
     c = cells(x, spec)
     assert c.shape[:3] == x.shape and c.dtype == np.uint8
     assert join([c.reshape(24, -1)], ",") == ",".join(_python(spec, v) for v in x.ravel().tolist())
+
+
+# Per spec, two values the kernel leaves to Python's `%`: a subnormal and a
+# 13-digit tie, a %.4f value wider than the kernel's cell and a tie, and %d
+# values outside 0..9999.
+_FALLBACK = {"%.12e": (5e-324, 10000000000005.0), "json": (5e-324, 10000000000005.0),
+             "%.4f": (1e300, 5e-05), "%d": (12_345, -7)}
+
+
+@pytest.mark.parametrize("specs", [("%.12e",), ("json",) * 7, ("%.12e", "%.12e", "%.12e", "%d"),
+                                   ("%.4f",) * 8 + ("%d",) * 2])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_lines_block_edges_match_per_column(specs, edge):
+    # One row, and step + edge or 2 step + edge rows, where step rows fill a
+    # block: for one column, tables of budget - 1, budget and budget + 1
+    # cells.  Python-formatted cells sit on both sides of the first edge.
+    step = BLOCK_CELLS // len(specs)
+    for n in (1, step + edge, 2 * step + edge):
+        rng = np.random.default_rng(n)
+        parts = ["<"]
+        for spec in specs:
+            if spec == "%d":
+                x = rng.integers(0, 10_000, n)
+            else:
+                x = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 3.0, n)
+            if n > step:
+                x[step - 1], x[step] = _FALLBACK[spec]
+            parts += [(x, spec), ","]
+        parts[-1] = ">"
+        for sep in ("\n", ","):
+            chunks = lines(parts, sep)
+            assert len(chunks) == -(-n // step)
+            # Whole rows per chunk.
+            assert all(c.startswith(b"<") and c.endswith(b">" + sep.encode()) for c in chunks[:-1])
+            assert b"".join(chunks) == lines_reference(parts, sep)[0]
