@@ -5,10 +5,11 @@ a Python float and for a float64 array, so the scalar API calls these
 kernels too.  The diamond flow shifts the rapidities rho_pm = atanh(u_pm/L)
 by t/2: diamond_orbit returns u_pm(t) = L tanh(rho_pm + t/2), which never
 leaves |u| <= L, and orbit_temperature reads T = cosh rho+ cosh rho- / (pi L)
-from the rapidities, not from the rounded u(t).  wedge_orbit is the boost in
-null coordinates, global_null is the one map from centered pairs to the
-global null and Cartesian columns, for a float pair and for arrays alike,
-and thermal is the one source of the thermal quantities.
+from the rapidities, not from the rounded u(t), as orbit_rate reads dtau/dt.
+wedge_orbit is the boost in null coordinates; diamond_moves and wedge_moves
+give the displacements from the start.  global_null is the one map from
+centered pairs to the global null and Cartesian columns, for a float pair
+and for arrays alike, and thermal is the one source of the thermal quantities.
 rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops,
 the diamond's in v = u/L coordinates for every L the float range holds, and
 never consult the closed forms, so they stay an independent check.
@@ -103,6 +104,13 @@ def diamond_orbit(u_plus, u_minus, size: float, t):
     return size * np.tanh(rho_p), size * np.tanh(rho_m)
 
 
+def diamond_moves(u_plus, u_minus, size: float, t):
+    """u_pm(t) - u_pm of diamond_orbit as L sinh(t/2) / (cosh rho_pm cosh(rho_pm + t/2)),
+    which, unlike a difference of two tanh, does not cancel near the faces."""
+    k, s = float(size) * np.sinh(0.5 * t), 0.5 * t
+    return tuple(k / np.cosh(r) / np.cosh(r + s) for r in _rapidities(u_plus, u_minus, size, 0.0))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def wedge_orbit(x0, x1, apex: float, t):
     """(x0, x1, z_plus, z_minus) of the point (x0, x1) boosted by t about x1 = apex.
@@ -120,10 +128,14 @@ def wedge_orbit(x0, x1, apex: float, t):
     return _boost(x0, x1, apex, t)
 
 
+def wedge_moves(x0, rel, t):
+    """Displacements d_pm = x_pm expm1(+-t) of the null coordinates
+    x_pm = x0 +- rel under the boost by t."""
+    return (x0 + rel) * np.expm1(t), (x0 - rel) * np.expm1(-t)
+
+
 def _boost(x0, x1, apex, t):
-    rel = x1 - apex
-    d_plus = (x0 + rel) * np.expm1(t)
-    d_minus = (x0 - rel) * np.expm1(-t)
+    d_plus, d_minus = wedge_moves(x0, x1 - apex, t)
     return (x0 + 0.5 * (d_plus + d_minus), x1 + 0.5 * (d_plus - d_minus),
             (x0 + x1) + d_plus, (x0 - x1) + d_minus)
 
@@ -134,6 +146,12 @@ def orbit_temperature(u_plus, u_minus, size: float, t):
     rho_p, rho_m = _rapidities(u_plus, u_minus, size, t)
     k, pi_size = _pi_size(size)
     return k * np.cosh(rho_p) / pi_size * np.cosh(rho_m)
+
+
+def orbit_rate(u_plus, u_minus, size: float, t):
+    """dtau/dt = ||beta|| = L / (2 cosh rho+(t) cosh rho-(t)) along the orbit of diamond_orbit."""
+    rho_p, rho_m = _rapidities(u_plus, u_minus, float(size), t)
+    return 0.5 * size / np.cosh(rho_p) / np.cosh(rho_m)
 
 
 def _pi_size(size: float):

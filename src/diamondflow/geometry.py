@@ -41,10 +41,6 @@ __all__ = [
 # Unit-vector tolerance for NullRadialCoords directions.
 _DIRECTION_TOL = 1e-12
 
-# Points closer to the diamond boundary than this (relative to L) are
-# rejected by the flow and temperature operations that degenerate there.
-BOUNDARY_MARGIN = 1e-10
-
 # A direction counts as lying in the x0-x1 plane when its transverse
 # components are below this; translated diamonds only support that plane.
 _AXIS_TOL = 1e-9
@@ -266,14 +262,12 @@ def null_from_centered(u_plus: float, u_minus: float,
     return NullRadialCoords(z_plus, z_minus, axis)
 
 
-def require_interior_null(z: NullRadialCoords, d: DiamondSpec,
-                          margin: float = BOUNDARY_MARGIN) -> tuple[float, float, tuple[float, float, float]]:
-    """centered_null_pair(z, d) for z at least margin*L inside d; margin=0 admits the boundary."""
+def require_interior_null(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float, tuple[float, float, float]]:
+    """centered_null_pair(z, d) for z strictly inside d: |u_pm| < L."""
     u_plus, u_minus, axis = centered_null_pair(z, d)
-    lim = d.size_L * (1.0 - margin)
-    if abs(u_plus) > lim or abs(u_minus) > lim:
+    if not (abs(u_plus) < d.size_L and abs(u_minus) < d.size_L):
         raise OutOfRegion(
-            f"point must lie in the diamond at least {margin!r} L from its faces: "
-            f"|u+|={abs(u_plus)!r}, |u-|={abs(u_minus)!r}, limit={lim!r}"
+            f"point must lie strictly inside the diamond: "
+            f"|u+|={abs(u_plus)!r}, |u-|={abs(u_minus)!r}, L={d.size_L!r}"
         )
     return u_plus, u_minus, axis

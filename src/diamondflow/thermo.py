@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import NonpositiveAcceleration, OutOfRange
-from .geometry import DiamondSpec, NullRadialCoords, _finite_fields, require_interior_null
+from .errors import NonpositiveAcceleration, OutOfRange, OutOfRegion
+from .geometry import (DiamondSpec, NullRadialCoords, _finite_fields, centered_null_pair,
+                       require_interior_null)
 
 __all__ = [
     "TemperatureSample",
@@ -59,8 +60,16 @@ def beta_field(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, float]:
 
     Defined on the closed diamond; vanishes on the corresponding null face.
     """
-    up, um, _ = require_interior_null(z, d, margin=0.0)
-    return _kernels.null_beta(up, d.size_L)[2], _kernels.null_beta(um, d.size_L)[2]
+    return _closed_beta(z, d)[:2]
+
+
+def _closed_beta(z: NullRadialCoords, d: DiamondSpec):
+    # (beta+, beta-, axis) at z on the closed diamond |u_pm| <= L.
+    up, um, axis = centered_null_pair(z, d)
+    if not (abs(up) <= d.size_L and abs(um) <= d.size_L):
+        raise OutOfRegion(f"point must lie in the closed diamond: "
+                          f"|u+|={abs(up)!r}, |u-|={abs(um)!r}, L={d.size_L!r}")
+    return _kernels.null_beta(up, d.size_L)[2], _kernels.null_beta(um, d.size_L)[2], axis
 
 
 def wedge_temperature(acceleration: float) -> float:
@@ -145,7 +154,6 @@ def relative_entropy(p: FourMomentum, z: NullRadialCoords, d: DiamondSpec) -> fl
     pi ((p0 - p_axis) beta+ + (p0 + p_axis) beta-).  Linear in p, zero when
     beta vanishes, and defined on the closed diamond.
     """
-    beta_p, beta_m = beta_field(z, d)
-    axis = require_interior_null(z, d, margin=0.0)[2]
+    beta_p, beta_m, axis = _closed_beta(z, d)
     p_axis = p.p1 * axis[0] + p.p2 * axis[1] + p.p3 * axis[2]
     return math.pi * ((p.p0 - p_axis) * beta_p + (p.p0 + p_axis) * beta_m)

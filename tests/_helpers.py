@@ -5,28 +5,17 @@ digits: the diamond orbit u(t), the temperature from the rapidities, the
 thermal set in v = u/L form and the wedge boost.  emit_json_reference is
 the CLI's JSON writer written with json.dumps, one dict per row,
 lines_reference the row formatter with one cells call per column over the
-whole table, and proper_acceleration_points_reference the finite-difference
-oracle with one scalar flow call and point object per position.
+whole table.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from diamondflow import _kernels
 from diamondflow._text import cells
 from diamondflow.errors import OutOfRange
-from diamondflow.flow import _solve_tau, diamond_flow, wedge_flow
-from diamondflow.geometry import (
-    DiamondSpec,
-    NullRadialCoords,
-    WedgeSpec,
-    from_null,
-    null_from_centered,
-    require_interior_null,
-)
+from diamondflow.geometry import DiamondSpec, null_from_centered
 
 
 def interior_pairs(rng, n, size=1.0, cap=0.9):
@@ -161,76 +150,3 @@ def rk4_wedge_reference(x0, x1_rel, t, n_steps):
     if b < abs(a):
         return a, b, 1
     return a, b, 0
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def tau_integral_reference(rate, t):
-    """Gauss-Legendre on [0, t], one scalar rate call per node."""
-    half = 0.5 * t
-    acc = 0.0
-    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += wi * rate(half + half * xi)
-    return half * acc
-
-
-def solve_tau_reference(rate, target):
-    """Newton on tau(t) = target for one target, with scalar rate calls."""
-    t = target / rate(0.0)
-    for _ in range(4):
-        tau = tau_integral_reference(rate, t)
-        t -= (tau - target) / rate(t)
-    return t
-
-
-def _scalar_orbit(start, spec):
-    """position(t) from one scalar wedge_flow, or diamond_flow + from_null,
-    call and its point objects, and the rate dtau/dt of flow.proper_acceleration."""
-    if isinstance(spec, WedgeSpec):
-        def position(t):
-            q = wedge_flow(start, t, spec)
-            return np.array([q.x0, q.x1, q.x2, q.x3])
-
-        def rate(t):
-            x0, x1, _, _ = _kernels.wedge_orbit(start.x0, start.x1, spec.apex_x1, t)
-            rel = x1 - spec.apex_x1
-            return np.sqrt(rel - x0) * np.sqrt(rel + x0)
-    else:
-        up, um, _ = require_interior_null(start, spec)
-
-        def position(t):
-            q = from_null(diamond_flow(start, t, spec))
-            return np.array([q.x0, q.x1, q.x2, q.x3])
-
-        def rate(t):
-            u_t = _kernels.diamond_orbit(up, um, spec.size_L, t)
-            return _kernels.thermal(*u_t, spec.size_L)[2]
-    return position, rate
-
-
-def _minkowski_norm(second):
-    big = float(np.abs(second).max())
-    if big == 0.0:
-        return 0.0
-    s = second / big
-    return big * math.sqrt(abs(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2))
-
-
-def proper_acceleration_reference(start, spec):
-    """flow.proper_acceleration with the scalar quadrature and solver, the
-    forward and backward step solved one after the other."""
-    position, rate = _scalar_orbit(start, spec)
-    h = 1e-4 * rate(0.0)
-    t_fwd = solve_tau_reference(rate, h)
-    t_bwd = solve_tau_reference(rate, -h)
-    return _minkowski_norm((position(t_fwd) - 2.0 * position(0.0) + position(t_bwd)) / h / h)
-
-
-def proper_acceleration_points_reference(start, spec):
-    """flow.proper_acceleration with each of its three positions from a
-    scalar flow call, and the same rate and tau solver."""
-    position, rate = _scalar_orbit(start, spec)
-    h, (t_fwd, t_bwd) = _solve_tau(rate)
-    return _minkowski_norm((0.5 * position(t_fwd) - position(0.0) + 0.5 * position(t_bwd))
-                           * 2.0 / h / h)

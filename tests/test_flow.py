@@ -10,9 +10,9 @@ from _helpers import (
     interior_points,
     max_coord_diff,
     mpmath40,
-    proper_acceleration_points_reference,
-    proper_acceleration_reference,
+    orbit_ref,
     temperature_ref,
+    thermal_ref,
     wedge_ref,
 )
 from diamondflow import _kernels
@@ -36,6 +36,7 @@ from diamondflow.geometry import (
     NullRadialCoords,
     SpacetimePoint,
     WedgeSpec,
+    centered_null_pair,
     diamond_to_wedge,
     from_null,
     in_diamond,
@@ -44,10 +45,11 @@ from diamondflow.geometry import (
     null_from_centered,
     wedge_to_diamond,
 )
-from diamondflow.thermo import acceleration_at
+from diamondflow.thermo import acceleration_at, diamond_temperature
 
 UNIT = DiamondSpec(1.0, 0.0)
 WEDGE = WedgeSpec(0.0)
+DBL_MAX = np.finfo(float).max
 EPS = 2.0 ** -52
 
 
@@ -235,9 +237,15 @@ def test_diamond_flow_off_plane_translated_rejected():
 def test_diamond_flow_rejects_boundary():
     with pytest.raises(OutOfRegion):
         diamond_flow(NullRadialCoords(1.0, -1.0), 0.5, UNIT)
-    near = 1.0 - 1e-12
-    with pytest.raises(OutOfRegion):
-        diamond_flow(NullRadialCoords(near, -near), 0.5, UNIT)
+    # The last float below a face is inside: flow and T match mpmath there.
+    for L in (1.0, 2.0 ** 1000):
+        near = float(np.nextafter(L, 0.0))
+        d = DiamondSpec(L)
+        zt = diamond_flow(NullRadialCoords(near, -near), 0.5, d)
+        for got, u in ((zt.z_plus, near), (zt.z_minus, -near)):
+            assert abs(got - orbit_ref(u, 0.5, L)) <= 2 * np.spacing(L)
+        want = thermal_ref(near, -near, L)["T"]
+        assert abs(diamond_temperature(NullRadialCoords(near, -near), d).temperature - want) <= 4 * EPS * want
 
 
 def test_corner_fixed_points():
@@ -695,40 +703,112 @@ def test_proper_acceleration_scale_free():
         assert abs(proper_acceleration(SpacetimePoint(0.0, w), WEDGE) * w - 1.0) < 1e-6
 
 
+def _acceleration_ref(start, spec):
+    # mpmath's a on the inputs the oracle rounds, v_pm = fl(u_pm/L) in a
+    # diamond and x1 - apex in a wedge: |v+ - v-| / (L sqrt(q+ q-)) and
+    # 1/sqrt((rel - x0)(rel + x0)).
+    if isinstance(spec, WedgeSpec):
+        mp = mpmath40()
+        rel = mp.mpf(start.x1 - spec.apex_x1)
+        return 1 / mp.sqrt((rel - start.x0) * (rel + start.x0))
+    up, um, _ = centered_null_pair(start, spec)
+    return thermal_ref(up / spec.size_L, um / spec.size_L, 1.0)["a"] / spec.size_L
+
+
+def _acceleration_cases():
+    # Derandomized starts, as (faces, general): diamond starts at L = 2^k
+    # from eps = 1 down to the last float below each face, with
+    # |v+ - v-| >= 1e-3, and wedge starts down to the last float off the
+    # horizon, plus four at scales 2^-1000 and 2^-960 where a overflows or
+    # nearly does; then general L with off-axis, translated and wedge-apex
+    # starts.
+    rng = np.random.default_rng(97)
+    top = float(np.nextafter(1.0, 0.0))
+
+    def below_one():
+        # 1 - eps, eps log-uniform in [1e-17, 1]: down to the last float below 1
+        return min(1.0 - 10.0 ** rng.uniform(-17.0, 0.0), top)
+
+    faces, general = [], []
+    for n in range(1200):
+        L = 2.0 ** int(rng.integers(-990, 991))
+        edge = below_one() if n % 8 else top
+        other = float(rng.uniform(-1.0, 1.0)) if n % 3 else -below_one()
+        if abs(edge - other) < 1e-3:
+            continue
+        vp, vm = (edge, other) if n % 2 else (-other, -edge)
+        faces.append((NullRadialCoords(max(vp, vm) * L, min(vp, vm) * L), DiamondSpec(L)))
+    for n in range(600):
+        rel = 2.0 ** int(rng.integers(-990, 991))
+        x0 = rel * (below_one() if n % 8 else top)
+        faces.append((SpacetimePoint(x0 if n % 2 else -x0, rel), WEDGE))
+    for n in range(600):
+        L = math.exp(rng.uniform(-600.0, 600.0))
+        vp, vm = np.sort(rng.uniform(-1.0, 1.0, 2))[::-1]
+        if vp - vm < 1e-3:
+            continue
+        if n % 3 == 0:
+            v = rng.normal(size=3)
+            spec = DiamondSpec(L)
+            start = NullRadialCoords(vp * L, vm * L, tuple(v / np.linalg.norm(v)))
+        elif n % 3 == 1:
+            spec = DiamondSpec(L, float(rng.uniform(-3.0, 3.0)) * L)
+            start = null_from_centered(vp * L, vm * L, (1.0, 0.0, 0.0), spec)
+        else:
+            spec = WedgeSpec(float(rng.uniform(-3.0, 3.0)) * L)
+            start = SpacetimePoint(vp * L, spec.apex_x1 + L, float(rng.normal()) * L)
+        general.append((start, spec))
+    # At the scale 2^-1000 a overflows at the diamond's corner and off the
+    # horizon; at 2^-960 it is finite there, about 9e304 and 7e296.
+    for L in (2.0 ** -1000, 2.0 ** -960):
+        faces += [(NullRadialCoords(top * L, -top * L), DiamondSpec(L)),
+                  (SpacetimePoint(top * L, L), WEDGE)]
+    return faces, general
+
+
+def _worst_acceleration_error(cases):
+    # The largest relative error against mpmath; OutOfRange is required
+    # exactly where a itself exceeds DBL_MAX.
+    worst = 0.0
+    for start, spec in cases:
+        want = _acceleration_ref(start, spec)
+        if want > DBL_MAX:
+            with pytest.raises(OutOfRange):
+                proper_acceleration(start, spec)
+            continue
+        worst = max(worst, float(abs(proper_acceleration(start, spec) - want) / want))
+    return worst
+
+
 def test_proper_acceleration_matches_scalar_reference():
-    # Solving tau(t) = +-h together, one rate call per Newton step, keeps
-    # the result of one scalar rate call per node and per step.
-    rng = np.random.default_rng(47)
-    for _ in range(250):
-        L = math.exp(rng.uniform(-5.0, 5.0))
-        d = DiamondSpec(L, float(rng.uniform(-1.0, 1.0)) * L)
-        w = WedgeSpec(float(rng.uniform(-2.0, 2.0)))
-        rel = math.exp(rng.uniform(-5.0, 5.0))
-        p = SpacetimePoint(float(rng.uniform(-0.95, 0.95)) * rel, w.apex_x1 + rel)
-        for start, spec in ((interior_points(rng, 1, d, cap=0.95)[0], d), (p, w)):
-            want = proper_acceleration_reference(start, spec)
-            assert abs(proper_acceleration(start, spec) - want) <= 1e-12 * want, (start, spec)
+    # Within 1e-7 of the scalar mpmath a up to the last float below each
+    # face and off the wedge's horizon, at L = 2^k over the exponent range.
+    faces, _ = _acceleration_cases()
+    assert _worst_acceleration_error(faces) <= 1e-7
 
 
 def test_proper_acceleration_matches_point_reference():
-    # One array evaluation of the three positions keeps the bits of three
-    # scalar flow calls and their point objects: centered diamonds with
-    # off-axis directions, translated diamonds and wedges with random apexes.
-    rng = np.random.default_rng(83)
-    for k in range(1500):
-        L = math.exp(rng.uniform(-20.0, 20.0))
-        if k % 3 == 0:
-            v = rng.normal(size=3)
-            up, um = np.sort(rng.uniform(-0.95, 0.95, 2))[::-1] * L
-            start, spec = NullRadialCoords(up, um, tuple(v / np.linalg.norm(v))), DiamondSpec(L)
-        elif k % 3 == 1:
-            spec = DiamondSpec(L, float(rng.uniform(-3.0, 3.0)) * L)
-            start = interior_points(rng, 1, spec, cap=0.95)[0]
-        else:
-            spec = WedgeSpec(float(rng.uniform(-3.0, 3.0)) * L)
-            start = SpacetimePoint(float(rng.uniform(-0.95, 0.95)) * L, spec.apex_x1 + L,
-                                   float(rng.normal()) * L, float(rng.normal()) * L)
-        assert proper_acceleration(start, spec) == proper_acceleration_points_reference(start, spec), (start, spec)
+    # Within 1e-7 of mpmath at the point itself for general L: centered
+    # diamonds with off-axis directions, translated diamonds and wedges
+    # with random apexes and transverse coordinates.
+    _, general = _acceleration_cases()
+    assert _worst_acceleration_error(general) <= 1e-7
+
+
+def test_proper_acceleration_independent_of_closed_forms(monkeypatch):
+    # The oracle reads neither the acceleration formula nor the thermal
+    # kernels that T and a come from.
+    def refuse(*args):
+        raise AssertionError("the oracle called a closed form")
+
+    from diamondflow import flow, thermo
+    for module, name in ((flow, "acceleration_at"), (thermo, "acceleration_at"),
+                         (_kernels, "thermal"), (_kernels, "orbit_temperature")):
+        monkeypatch.setattr(module, name, refuse)
+    for start, spec in ((NullRadialCoords(0.6, -0.6), UNIT),
+                        (NullRadialCoords(0.9, -0.1), DiamondSpec(1.0, 0.4)),
+                        (SpacetimePoint(0.2, 1.1), WedgeSpec(0.3))):
+        assert proper_acceleration(start, spec) > 0.0
 
 
 def test_proper_acceleration_constant_along_orbit():

@@ -4,7 +4,7 @@ import numpy as np
 
 from _helpers import orbit_ref, rk4_wedge_reference, thermal_ref
 from diamondflow import _kernels as K
-from diamondflow.geometry import BOUNDARY_MARGIN, DiamondSpec, from_null, null_from_centered
+from diamondflow.geometry import DiamondSpec, from_null, null_from_centered
 
 
 def test_orbit_identity_at_zero():
@@ -32,7 +32,7 @@ def test_orbit_finite_for_interior_starts():
     # finite and inside the closed diamond for every t.
     rng = np.random.default_rng(11)
     t = np.linspace(-1400.0, 1400.0, 2801)
-    edge = np.nextafter(1.0 - BOUNDARY_MARGIN, 0.0)
+    edge = np.nextafter(1.0, 0.0)
     for size in (1e-3, 1.0, 1e3):
         starts = rng.uniform(-edge, edge, (200, 2)) * size
         starts[0] = (edge * size, -edge * size)
@@ -46,7 +46,7 @@ def test_orbit_matches_mpmath():
     # u(t) = L tanh(atanh(u0/L) + t/2) within 8 ulps of L for |t| <= 1400
     # and L across 200 decades; the orbit never leaves |u| <= L.
     rng = np.random.default_rng(13)
-    edge = np.nextafter(1.0 - BOUNDARY_MARGIN, 0.0)
+    edge = np.nextafter(1.0, 0.0)
     for _ in range(60):
         size = 10.0 ** rng.uniform(-100.0, 100.0)
         u0 = float(rng.uniform(-edge, edge)) * size
