@@ -2,18 +2,23 @@
 
 argparse parses and checks every flag, and each `cmd_*` takes its namespace.
 Exit codes: 0 success, 2 invalid configuration (argparse's usage and
-message), 3 start or sample outside the region's domain, or a result that
-overflows or is not finite, 4 mode/spec mismatch.  All numeric output is
-fixed at %.12e so identical configurations produce byte-identical files;
-CSV, JSON and SVG text comes from the array kernels of `_text`,
-byte-identical to Python's `%` and, for JSON numbers, to the repr of the
-%.12e value that `json.dumps` would write.
+message), an --out that cannot be opened or written among them, 3 start or
+sample outside the region's domain, or a result that overflows or is not
+finite, 4 mode/spec mismatch.  A run that exits before writing leaves an
+existing --out unchanged, and a write that fails part-way cuts the file
+after the last byte written.  All numeric output is fixed at %.12e so
+identical configurations produce byte-identical files; CSV, JSON and SVG
+text comes from the array kernels of `_text`, byte-identical to Python's
+`%` and, for JSON numbers, to the repr of the %.12e value that
+`json.dumps` would write.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from functools import cache, partial
 
@@ -61,12 +66,28 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[byt
     return [head.encode(), *lines(["{" + row[0][1:], *row[1:], "}"], ","), f"]{tail}}}\n".encode()]
 
 
-def _write(chunks: list[bytes], out: str | None) -> None:
-    if out is None:
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
-    else:
-        with open(out, "wb") as fh:
+def _no_truncate(path: str, flags: int) -> int:
+    # open(out, "wb") without O_TRUNC: truncating to zero frees every page and
+    # block only for the write to allocate them again, and ext4 starts
+    # writeback on closing a file so truncated.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write(chunks: list[bytes], out: str) -> None:
+    """Write chunks over the file out from offset 0, then cut it to their length.
+
+    A new file is created as open(out, "wb") creates it; an existing one keeps
+    its inode, links and mode.  Only a regular file is cut, and it is cut also
+    when a write fails part-way, so no old byte is left after a new one.
+    """
+    with open(out, "wb", opener=_no_truncate) as fh:
+        try:
             fh.writelines(chunks)
+            fh.flush()
+        finally:
+            fd = fh.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ------------------------------------------------------------------- parsing
@@ -296,7 +317,16 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
-    _write(chunks, args.out)
+    if args.out is None:
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        return 0
+    try:
+        _write(chunks, args.out)
+    except OSError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: argument --out: cannot write {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

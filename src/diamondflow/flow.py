@@ -41,7 +41,7 @@ from .geometry import (
     require_in_wedge,
     require_interior_null,
 )
-from .thermo import acceleration_at, beta_field, wedge_temperature
+from .thermo import acceleration_at, wedge_temperature
 
 __all__ = [
     "Trajectory",
@@ -116,8 +116,8 @@ def generator(point, spec: RegionSpec) -> SpacetimePoint:
     if isinstance(spec, WedgeSpec):
         require_in_wedge(point, spec)
         return SpacetimePoint(point.x1 - spec.apex_x1, point.x0, 0.0, 0.0)
-    axis = require_interior_null(point, spec)[2]
-    beta_p, beta_m = beta_field(point, spec)
+    up, um, axis = require_interior_null(point, spec)
+    beta_p, beta_m = (_kernels.null_beta(u, spec.size_L)[2] for u in (up, um))
     bt, bs = 0.5 * (beta_p + beta_m), 0.5 * (beta_p - beta_m)
     return SpacetimePoint(bt, bs * axis[0], bs * axis[1], bs * axis[2])
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import io
@@ -491,11 +492,104 @@ def test_row_blocks_match_per_column_reference(command, capsys):
 
 
 def test_exit_3_leaves_no_partial_file(tmp_path):
-    # The finiteness check and the formatting finish before --out is opened.
-    out = tmp_path / "t.json"
-    assert main(["traj", "--t=-1500:1500:5", "--format", "json", "--out", str(out)]) == 3
-    assert main(["field", "--grid", "3", "--L", "1e-307", "--out", str(out)]) == 3
+    # The finiteness check and the formatting finish before --out is opened,
+    # so a run that exits 3 creates no file and leaves an existing one as it was.
+    out, old = tmp_path / "t.json", tmp_path / "old.json"
+    old.write_bytes(b'{"kept": true}\n' * 1000)
+    for target in (out, old):
+        assert main(["traj", "--t=-1500:1500:5", "--format", "json", "--out", str(target)]) == 3
+        assert main(["field", "--grid", "3", "--L", "1e-307", "--out", str(target)]) == 3
     assert not out.exists()
+    assert old.read_bytes() == b'{"kept": true}\n' * 1000
+
+
+# --out is rewritten in place: CSV, JSON and SVG, the benchmark's four
+# commands among them, each several blocks long.
+_REWRITES = ["traj --t=-2:2:41", "traj --t=-8:8:1001 --format json",
+             "limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001",
+             "field --grid 100", "field --grid 30 --format json",
+             "plot --shade --grid 50 --start 0.3,-0.3"]
+
+
+@pytest.mark.parametrize("command", _REWRITES)
+def test_out_rewritten_in_place(command, tmp_path, capsys):
+    assert main(command.split()) == 0
+    want = capsys.readouterr().out.encode()
+    out = tmp_path / "out"
+    for before in (None, b"x" * (len(want) + 5000), b"y" * (len(want) // 3), want[:-1], b""):
+        if before is None:
+            out.unlink(missing_ok=True)
+        else:
+            out.write_bytes(before)
+        assert main([*command.split(), "--out", str(out)]) == 0
+        assert out.read_bytes() == want, (command, None if before is None else len(before))
+
+
+def test_out_rewrite_keeps_inode_mode_and_links(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"z" * 100_000)
+    os.chmod(target, 0o640)
+    os.symlink(target, link)
+    before = target.stat()
+    for out in (target, link):
+        assert main(["traj", "--out", str(out)]) == 0
+        after = target.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_nlink)
+    assert link.is_symlink()
+    assert target.read_bytes().startswith(b"t,z_plus,z_minus,x0,x1,T,a\n")
+    assert after.st_size == len(target.read_bytes()) < 100_000
+
+
+def test_out_new_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "new.csv"
+    mask = os.umask(0o027)
+    try:
+        assert main(["traj", "--out", str(out)]) == 0
+    finally:
+        os.umask(mask)
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_device_is_not_cut(capsys):
+    # Only a regular file is cut to length; a device takes the bytes as they come.
+    assert main(["field", "--grid", "30", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+class _FullDiskWriter(io.BufferedWriter):
+    """A writer whose disk fills after the first chunk."""
+
+    def writelines(self, chunks):
+        self.write(chunks[0])
+        self.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch, capsys):
+    command = ["traj", "--t=-8:8:1001", "--format", "json"]
+    assert main(command) == 0
+    want = capsys.readouterr().out.encode()
+    out = tmp_path / "t.json"
+    out.write_bytes(b"9" * (2 * len(want)))
+    monkeypatch.setattr(cli, "open", lambda path, mode, opener: _FullDiskWriter(
+        io.FileIO(path, "w", opener=opener)), raising=False)
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: diamondflow")
+    assert f"argument --out: cannot write {out}: {os.strerror(errno.ENOSPC)}" in err
+    got = out.read_bytes()
+    assert 0 < len(got) < len(want) and got == want[:len(got)]
+
+
+def test_exit_unwritable_out(tmp_path, capsys):
+    # An --out that cannot be opened is an invalid configuration, not a traceback.
+    for out, reason in ((tmp_path / "missing" / "x.csv", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        assert main(["traj", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: diamondflow")
+        assert f"argument --out: cannot write {out}: {os.strerror(reason)}" in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("command", ["field --grid 400", "field --grid 400 --format json",

@@ -45,7 +45,7 @@ from diamondflow.geometry import (
     null_from_centered,
     wedge_to_diamond,
 )
-from diamondflow.thermo import acceleration_at, diamond_temperature
+from diamondflow.thermo import acceleration_at, beta_field, diamond_temperature
 
 UNIT = DiamondSpec(1.0, 0.0)
 WEDGE = WedgeSpec(0.0)
@@ -398,6 +398,24 @@ def test_generator_matches_flow_derivative():
         for got, want in (((fwd.x0 - bwd.x0) / (2 * h), g.x0),
                           ((fwd.x1 - bwd.x1) / (2 * h), g.x1)):
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+def test_generator_matches_beta_field():
+    # generator reads beta_pm from the pair it validated; the bits are those of
+    # thermo.beta_field, in centered, translated and tiny diamonds and off the x1 axis
+    rng = np.random.default_rng(25)
+    for d in (UNIT, DiamondSpec(3.0, -1.5), DiamondSpec(2.0 ** -40, 2.0 ** -38)):
+        points = [*interior_points(rng, 50, d, cap=1.0 - 2.0 ** -20),
+                  null_from_centered(0.0, 0.0, (1.0, 0.0, 0.0), d)]
+        if d.translation_L1 == 0.0:
+            points.append(NullRadialCoords(0.5 * d.size_L, -0.25 * d.size_L, (0.0, 0.6, 0.8)))
+        for z in points:
+            g = generator(z, d)
+            beta_p, beta_m = beta_field(z, d)
+            axis = centered_null_pair(z, d)[2]
+            bs = 0.5 * (beta_p - beta_m)
+            assert (g.x0, g.x1, g.x2, g.x3) == (0.5 * (beta_p + beta_m), bs * axis[0],
+                                                bs * axis[1], bs * axis[2])
 
 
 # ------------------------------------------------------------ proper time rate
