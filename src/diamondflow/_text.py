@@ -4,14 +4,15 @@ and "json" cells, byte-identical to `repr(float("%.12e" % v))`.
 A cell is uint32 words of ASCII from tables, filler bytes (0) where the text is
 shorter; digits come from `rint(|x| * 10**p)`.  Python's `%` formats a value
 within 2**-50 of a tie (the product errs by at most 2**-52), a `%.12e` magnitude
-outside zero and [1e-296, DBL_MAX], `%.4f` from 9999 and `%d` outside [0, 9999].
-A json cell re-lays the 13 digits of `%.12e`: a decimal of at most 15
-significant digits survives the round trip through a normal double, so repr
-gives back those digits without their trailing zeros.  Zero and whatever
-`%.12e` leaves to `%` go through repr itself.
+outside zero and [1e-296, DBL_MAX], `%.4f` from 9999 and `%d` outside [0, 9999],
+in place of its cell, which only the last two widen.  A json cell re-lays the
+13 digits of `%.12e`: a decimal of at most 15 significant digits survives the
+round trip through a normal double, so repr gives back those digits without
+their trailing zeros.  Zero and whatever `%.12e` leaves to `%` go through repr.
 
-`lines` lays out rows of text and cells, one `cells` call per spec per block of
-at most BLOCK_CELLS cells, and returns each block's rows as one bytes chunk.
+`lines` lays out rows of text and cells in blocks of at most BLOCK_CELLS cells,
+a bytes chunk each; a distinct column goes through `cells` once a block, an
+indexed one (a vertex lattice, an axis) once a call.
 """
 
 import numpy as np
@@ -139,8 +140,9 @@ def cells(x: np.ndarray, spec: str) -> np.ndarray:
     if miss.size:
         # numpy pads bytes strings with NUL, the filler byte.
         text = np.array([fmt(v).encode() for v in x.ravel()[miss].tolist()])
-        flat = np.zeros((x.size, max(out.shape[-1], text.itemsize)), np.uint8)
-        flat[:, :out.shape[-1]] = out.reshape(x.size, -1)
+        flat = out.reshape(x.size, -1)
+        if text.itemsize > flat.shape[1]:  # %.4f from 9999 up, %d outside [0, 9999]
+            flat = np.pad(flat, ((0, 0), (0, text.itemsize - flat.shape[1])))
         flat.view(f"S{flat.shape[1]}")[miss, 0] = text
         out = flat.reshape(*x.shape, -1)
     return out
@@ -149,26 +151,37 @@ def cells(x: np.ndarray, spec: str) -> np.ndarray:
 def lines(parts, sep: str) -> list[bytes]:
     """ASCII rows of parts separated by sep, none after the last, as byte chunks.
 
-    A part is str, the same in every row, or (values, spec), whose row i is
-    `cells(values, spec)[i]` without filler; a chunk is one block's rows.
-    """
-    groups = {}  # spec: the values of its parts, in row order
-    layout = []  # per part and sep: its bytes, or (spec, index in the group)
+    A part is str, the same in every row; (values, spec), whose row i is
+    `cells(values, spec)[i]` without filler; or (values, spec, index), whose
+    row i is `cells(values, spec)[index[i]]`.  A chunk is one block's rows.
+    Each distinct (values, spec) is formatted once per block, or once if indexed."""
+    gathered = [p for p in parts if not isinstance(p, str) and len(p) == 3]  # indexed parts
+    indexed = {(id(p[0]), p[1]): p[:2] for p in gathered}
+    indexed = {key: cells(*p) for key, p in indexed.items()}
+    groups = {}  # spec: {id(values): (column, values)} of its distinct row parts
+    layout = []  # per part and sep: its bytes, (spec, column) or (cells, index)
     for part in (*parts, sep):
         if isinstance(part, str):
             layout.append(np.frombuffer(part.encode(), np.uint8))
-        else:  # (values, spec)
-            layout.append((part[1], len(groups.setdefault(part[1], []))))
-            groups[part[1]].append(part[0])
-    n = len(next(iter(groups.values()))[0])
-    step = max(1, BLOCK_CELLS // sum(map(len, groups.values())))
+        elif len(part) == 3:
+            layout.append((indexed[id(part[0]), part[1]], part[2]))
+        else:
+            group = groups.setdefault(part[1], {})
+            layout.append((part[1], group.setdefault(id(part[0]), (len(group), part[0]))[0]))
+    n = len(next(p[2] if len(p) == 3 else p[0] for p in parts if not isinstance(p, str)))
+    # A row gathers a cell per distinct row part and one per indexed part.
+    step = max(1, BLOCK_CELLS // (sum(map(len, groups.values())) + len(gathered)))
+    layout = [np.broadcast_to(p, (step, len(p))) if isinstance(p, np.ndarray) else p
+              for p in layout]
     chunks = []
     for lo in range(0, n, step):
         m = min(step, n - lo)
-        text = {spec: cells(np.stack([v[lo:lo + m] for v in group], axis=1), spec)
+        text = {spec: cells(np.stack([v[lo:lo + m] for _, v in group.values()], axis=1), spec)
                 for spec, group in groups.items()}
-        block = np.concatenate([np.broadcast_to(p, (m, p.size)) if isinstance(p, np.ndarray)
-                                else text[p[0]][:, p[1]] for p in layout], axis=1)
+        block = np.concatenate([p[:m] if isinstance(p, np.ndarray)
+                                else text[p[0]][:, p[1]] if isinstance(p[0], str)
+                                else np.take(p[0], p[1][lo:lo + m], axis=0) for p in layout],
+                               axis=1)
         chunks.append(block.tobytes().translate(None, b"\0"))
     chunks[-1] = chunks[-1][:len(chunks[-1]) - len(sep)]
     return chunks

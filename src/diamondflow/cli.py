@@ -2,15 +2,15 @@
 
 argparse parses and checks every flag, and each `cmd_*` takes its namespace.
 Exit codes: 0 success, 2 invalid configuration (argparse's usage and
-message), an --out that cannot be opened or written among them, 3 start or
-sample outside the region's domain, or a result that overflows or is not
-finite, 4 mode/spec mismatch.  A run that exits before writing leaves an
-existing --out unchanged, and a write that fails part-way cuts the file
-after the last byte written.  All numeric output is fixed at %.12e so
-identical configurations produce byte-identical files; CSV, JSON and SVG
-text comes from the array kernels of `_text`, byte-identical to Python's
-`%` and, for JSON numbers, to the repr of the %.12e value that
-`json.dumps` would write.
+message), an --out that cannot be opened or written or a standard output
+closed early among them, 3 start or sample outside the region's domain, or a
+result that overflows or is not finite, 4 mode/spec mismatch.  A run that
+exits before writing leaves an existing --out unchanged, and a write that
+fails part-way cuts the file after the last byte written.  All numeric
+output is fixed at %.12e so identical configurations produce byte-identical
+files; CSV, JSON and SVG text comes from the array kernels of `_text`,
+byte-identical to Python's `%` and, for JSON numbers, to the repr of the
+%.12e value that `json.dumps` would write.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._kernels import global_null, thermal
+from ._kernels import global_null, null_beta, thermal
 from ._text import lines
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
@@ -44,23 +44,27 @@ MAX_OUTPUT_ROWS = 10_000_000
 def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[bytes]:
     """CSV or JSON bytes of equal-length columns, one row per element.
 
+    A column is an array or (values, index), the column values[index].
     Float columns print as %.12e, with -0.0 written as 0.0, and in JSON as
     the shortest repr of that value; a column with a non-finite value is
     OutOfRange (exit 3).  Boolean columns print as 0 and 1.  JSON is one
     object {"columns": names, "rows": [{name: value, ...}, ...]} followed by
-    the footer fields, laid out as `json.dumps` with separators (",", ":").
-    """
+    the footer fields, laid out as `json.dumps` with separators (",", ":")."""
+    float_spec, parts = "%.12e" if fmt == "csv" else "json", []
     for name, col in zip(names, columns):
-        if col.dtype != np.bool_ and not np.isfinite(col).all():
+        values, *index = col if isinstance(col, tuple) else (col,)
+        if values.dtype == np.bool_:
+            values = values.astype(np.int64)
+        elif not np.isfinite(values).all():
             raise OutOfRange(f"column {name} has a non-finite value")
-    float_spec = "%.12e" if fmt == "csv" else "json"
-    columns = [(col.astype(np.int64), "%d") if col.dtype == np.bool_ else (col + 0.0, float_spec)
-               for col in columns]
+        elif np.signbit(values[values == 0.0]).any():  # copied only to write -0.0 as 0.0
+            values = values + 0.0
+        parts.append((values, "%d" if values.dtype == np.int64 else float_spec, *index))
     if fmt == "csv":
-        row = [part for col in columns for part in (",", col)]
+        row = [part for col in parts for part in (",", col)]
         footer = "" if footer_text is None else footer_text + "\n"
         return [f"{','.join(names)}\n".encode(), *lines(row[1:], "\n"), f"\n{footer}".encode()]
-    row = [part for name, col in zip(names, columns) for part in (f',"{name}":', col)]
+    row = [part for name, col in zip(names, parts) for part in (f',"{name}":', col)]
     head = '{"columns":[' + ",".join(f'"{name}"' for name in names) + '],"rows":['
     tail = "".join(f',"{key}":{value!r}' for key, value in (footer_fields or {}).items())
     return [head.encode(), *lines(["{" + row[0][1:], *row[1:], "}"], ","), f"]{tail}}}\n".encode()]
@@ -236,8 +240,9 @@ def cmd_field(args: argparse.Namespace) -> list[bytes]:
     i, j = np.tril_indices(args.grid)
     up, um = axis[i], axis[j]
     z_plus, z_minus, _, _ = global_null(up, um, L, args.L1)
-    beta_p, beta_m, _, T, a, ratio = thermal(up, um, L)
-    return _emit(_FIELD_COLS, (z_plus, z_minus, beta_p, beta_m, T, a, ratio), args.format)
+    _, _, _, T, a, ratio = thermal(up, um, L)
+    beta = null_beta(axis, L)[2]  # beta+- take one value per axis point
+    return _emit(_FIELD_COLS, (z_plus, z_minus, (beta, i), (beta, j), T, a, ratio), args.format)
 
 
 _SCAN_COLS = ("t", "exact_plus", "exact_minus", "limit_plus", "limit_minus",
@@ -281,19 +286,18 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
 
 
 def _shade_cells(d: DiamondSpec, n: int):
-    """Quad corners (x1, x0), each (n*n, 4), and values of the heat map cells."""
+    """Heat map: (n+1)^2 vertices (x1, x0), (n*n, 4) cell corners into them, cell values."""
     L, L1 = d.size_L, d.translation_L1
     edges = _margin_axis(L, n + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # The shade is sqrt((1 - v+^2)(1 - v-^2)) = ||beta||/(L/2), 1 at the center.
     _, _, norm, _, _, _ = thermal(np.repeat(centers, n), np.tile(centers, n), L)
     value = norm / (0.5 * L)
-    # Cell (i, j) spans up in edges[i:i+2] and um in edges[j:j+2]; its
-    # corners run (p0, q0), (p1, q0), (p1, q1), (p0, q1).
-    lo, hi = edges[:-1], edges[1:]
-    up = np.repeat(np.stack([lo, hi, hi, lo], axis=1), n, axis=0)
-    um = np.tile(np.stack([lo, lo, hi, hi], axis=1), (n, 1))
-    return L1 + 0.5 * (up - um), 0.5 * (up + um), value
+    # Vertex a (n+1) + b is (up, um) = (edges[a], edges[b]).  Cell (i, j) spans up in
+    # edges[i:i+2] and um in edges[j:j+2]; its corners run (p0, q0), (p1, q0), (p1, q1), (p0, q1).
+    corners = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).reshape(-1, 1) + [0, n + 1, n + 2, 1]
+    up, um = np.repeat(edges, n + 1), np.tile(edges, n + 1)
+    return L1 + 0.5 * (up - um), 0.5 * (up + um), corners, value
 
 
 def main(argv=None) -> int:
@@ -318,7 +322,14 @@ def main(argv=None) -> int:
         print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
     if args.out is None:
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        try:
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:  # the rest goes to devnull: shutdown stays quiet
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print(f"{parser.prog}: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            return 2
         return 0
     try:
         _write(chunks, args.out)

@@ -62,8 +62,9 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
     outline: (x1, x0) vertex arrays; closed draws a polygon, open a
     polyline.  orbits: list of (x1, x0) arrays.  hyperbola_w: if set,
     overlay the right branch of x1^2 - x0^2 = w^2, dashed, clipped to the
-    frame.  shade: None, or (x1, x0, value) with quad corners of shape
-    (m, 4) and one value per quad, painted under everything else.
+    frame.  shade: None, or (x1, x0, corners, value): vertex arrays, an
+    (m, 4) index of each quad's corners into them and one value per quad,
+    painted under everything else; each vertex is formatted once.
     """
     groups = [outline, *orbits] + ([shade[:2]] if shade is not None else [])
     frame = _Frame(*_bounds(groups))
@@ -73,11 +74,11 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
             f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
     chunks = [head.encode()]
     if shade is not None:
-        x1, x0, value = shade
+        x1, x0, corners, value = shade
         px, py = frame.to_px(x1, x0)
         g = (np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64), "%d")
-        points = [part for k in range(4)
-                  for part in (" ", (px[:, k], "%.4f"), ",", (py[:, k], "%.4f"))][1:]
+        points = [part for k in corners.T
+                  for part in (" ", (px, "%.4f", k), ",", (py, "%.4f", k))][1:]
         chunks += [*lines(['<polygon points="', *points, '" fill="rgb(255,', g, ",", g,
                            ')" stroke="none"/>'], "\n"), b"\n"]
     # The outline has three or four vertices; a shorter hyperbola or orbit is left out.

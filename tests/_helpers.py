@@ -5,7 +5,7 @@ digits: the diamond orbit u(t), the temperature from the rapidities, the
 thermal set in v = u/L form and the wedge boost.  emit_json_reference is
 the CLI's JSON writer written with json.dumps, one dict per row,
 lines_reference the row formatter with one cells call per column over the
-whole table.
+whole table; both expand an indexed column to values[index].
 """
 
 import json
@@ -87,6 +87,7 @@ def emit_json_reference(names, columns, fmt, footer_text=None, footer_fields=Non
     """cli._emit's JSON output the plain way: each float rounded through
     float("%.12e" % v), one dict per row, and json.dumps over the lot."""
     assert fmt == "json"
+    columns = [col[0][col[1]] if isinstance(col, tuple) else col for col in columns]
     for name, col in zip(names, columns):
         if col.dtype != np.bool_ and not np.isfinite(col).all():
             raise OutOfRange(f"column {name} has a non-finite value")
@@ -110,8 +111,11 @@ def join(parts, sep: str) -> str:
 
 
 def lines_reference(parts, sep):
-    """_text.lines with one cells call per column over all rows, as one chunk."""
-    return [join([p if isinstance(p, str) else cells(*p) for p in parts], sep).encode()]
+    """_text.lines with one cells call per column over all rows, as one chunk;
+    an indexed part (values, spec, index) is the column values[index]."""
+    columns = [p if isinstance(p, str) else cells(np.asarray(p[0])[p[2]], p[1]) if len(p) == 3
+               else cells(*p) for p in parts]
+    return [join(columns, sep).encode()]
 
 
 # ------------------------------------------------------- oracle references

@@ -592,6 +592,54 @@ def test_exit_unwritable_out(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_closed_stdout_exits_2_without_traceback():
+    # A reader that stops early, as `| head -c 10` does: one error line, exit 2.
+    proc = subprocess.Popen([sys.executable, "-m", "diamondflow.cli", "field", "--grid", "400"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"z_plus,z_m"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err == "diamondflow: error: cannot write stdout: Broken pipe\n"
+
+
+def test_negative_zero_written_as_zero():
+    # -0.0 prints as zero, in a plain and an indexed column, and the caller's
+    # arrays keep their -0.0.
+    col = np.array([-0.0, 1.5, -0.0])
+    index = np.array([1, 0, 2])
+    columns = (col, (col, index))
+    csv_text = b"".join(cli._emit(("a", "b"), columns, "csv")).decode()
+    assert csv_text == ("a,b\n0.000000000000e+00,1.500000000000e+00\n"
+                        "1.500000000000e+00,0.000000000000e+00\n"
+                        "0.000000000000e+00,0.000000000000e+00\n")
+    json_text = b"".join(cli._emit(("a", "b"), columns, "json")).decode()
+    assert json_text == ('{"columns":["a","b"],"rows":[{"a":0.0,"b":1.5},{"a":1.5,"b":0.0},'
+                         '{"a":0.0,"b":0.0}]}\n')
+    assert np.signbit(col).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("grid", [1, 2, 30])
+def test_each_distinct_value_formatted_once(grid, monkeypatch):
+    # The shade's lattice vertices and field's beta axis go through the text
+    # kernels once; the colour, repeated in each polygon, once per block.
+    sizes, cells = {}, _text.cells
+
+    def counted(x, spec):
+        sizes[spec] = sizes.get(spec, 0) + np.size(x)
+        return cells(x, spec)
+
+    monkeypatch.setattr(_text, "cells", counted)
+    assert main(["plot", "--shade", "--grid", str(grid), "--out", os.devnull]) == 0
+    # The outline's four vertices add their own 8.
+    assert sizes == {"%.4f": 2 * (grid + 1) ** 2 + 8, "%d": grid * grid}
+    sizes.clear()
+    n = grid + 1
+    assert main(["field", "--grid", str(n), "--out", os.devnull]) == 0
+    # z+-, T, a and ratio per row, beta+- one value per axis point.
+    assert sizes == {"%.12e": 5 * n * (n + 1) // 2 + n}
+
+
 @pytest.mark.parametrize("command", ["field --grid 400", "field --grid 400 --format json",
                                      "plot --shade --grid 200"])
 def test_output_peak_memory(command, tmp_path):

@@ -176,3 +176,63 @@ def test_lines_block_edges_match_per_column(specs, edge):
             # Whole rows per chunk.
             assert all(c.startswith(b"<") and c.endswith(b">" + sep.encode()) for c in chunks[:-1])
             assert b"".join(chunks) == lines_reference(parts, sep)[0]
+
+
+_VALUES = {spec: _FINITE for spec in ("%.12e", "%.4f", "json")}
+_VALUES["%d"] = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALUES)), st.data())
+def test_indexed_parts_match_gathered_values(spec, data):
+    # (v, spec, index) lays out v[index], byte for byte, also next to a row
+    # part, a repeated row part and a second index into the same values.
+    v = np.array(data.draw(_VALUES[spec]), dtype=np.int64 if spec == "%d" else np.float64)
+    index = np.array(data.draw(st.lists(st.integers(0, v.size - 1), min_size=1, max_size=60)))
+    w = np.resize(v[::-1], index.size)
+    parts = ["<", (v, spec, index), ",", (w, spec), ",", (v, spec, index[::-1]), ",", (w, spec), ">"]
+    gathered = ["<", (v[index], spec), ",", (w, spec), ",", (v[index[::-1]], spec), ",",
+                (w.copy(), spec), ">"]
+    for sep in ("\n", ","):
+        assert lines(parts, sep) == lines(gathered, sep) == lines_reference(parts, sep)
+
+
+@pytest.mark.parametrize("spec", ["%.12e", "%.4f", "json", "%d"])
+def test_indexed_parts_over_several_blocks(spec):
+    # Indexed parts count toward BLOCK_CELLS; their values are formatted once,
+    # Python-formatted cells among them, and gathered into every block.
+    rng = np.random.default_rng(7)
+    if spec == "%d":
+        v = rng.integers(-20_000, 20_000, 300)
+    else:
+        v = rng.normal(size=300) * 10.0 ** rng.uniform(-6.0, 6.0, 300)
+        v[:2] = _FALLBACK[spec]
+    index = rng.integers(0, v.size, (BLOCK_CELLS, 2))
+    parts = [(v, spec, index[:, 0]), " ", (v, spec, index[:, 1])]
+    chunks = lines(parts, "\n")
+    assert len(chunks) == 2
+    assert b"".join(chunks) == lines_reference(parts, "\n")[0]
+
+
+# Per spec, values the kernel leaves to `%` whose text fits its cell, and one
+# that does not: only %.4f from 9999 up and %d outside [0, 9999] are wider.
+_FIT = {"%.12e": ([5e-324, 10000000000005.0, np.inf, -np.nan], None),
+        "json": ([5e-324, -5e-324, 10000000000005.0, np.inf], None),
+        "%.4f": ([5e-05, 9999.5, 1e10, np.nan], 1e300),
+        "%d": ([-7, -999, -1, -50], 10_000)}
+
+
+@pytest.mark.parametrize("spec", sorted(_FIT))
+def test_fallbacks_written_in_place(spec):
+    fit, wide = _FIT[spec]
+    rng = np.random.default_rng(11)
+    x = (rng.integers(0, 10_000, BLOCK_CELLS) if spec == "%d"
+         else rng.normal(size=BLOCK_CELLS) * 10.0 ** rng.uniform(-3.0, 3.0, BLOCK_CELLS))
+    x[::1000] = np.resize(fit, x[::1000].size)
+    width = cells(x[1:2], spec).shape[-1]  # the kernel's own cell
+    assert cells(x, spec).shape == (BLOCK_CELLS, width)
+    _check(x, spec)
+    if wide is not None:
+        x[2047] = wide
+        assert cells(x, spec).shape == (BLOCK_CELLS, len(_python(spec, wide)))
+        _check(x, spec)
