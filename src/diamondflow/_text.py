@@ -2,17 +2,23 @@
 and "json" cells, byte-identical to `repr(float("%.12e" % v))`.
 
 A cell is uint32 words of ASCII from tables, filler bytes (0) where the text is
-shorter; digits come from `rint(|x| * 10**p)`.  Python's `%` formats a value
-within 2**-50 of a tie (the product errs by at most 2**-52), a `%.12e` magnitude
-outside zero and [1e-296, DBL_MAX], `%.4f` from 9999 and `%d` outside [0, 9999],
-in place of its cell, which only the last two widen.  A json cell re-lays the
-13 digits of `%.12e`: a decimal of at most 15 significant digits survives the
-round trip through a normal double, so repr gives back those digits without
-their trailing zeros.  Zero and whatever `%.12e` leaves to `%` go through repr.
+shorter; digits come from `rint(|x| * 10**k)`.  Where 10**k is exact (k in
+0..22, and 10**4 for `%.4f`) the product is rounded once, so its rint is the
+correctly rounded digits unless the product is itself a tie; elsewhere it errs
+by at most 2**-52.  Python's `%` formats, in place of its cell, a value whose
+product is a tie (or within 2**-50 of one where 10**k is rounded), a `%.12e`
+magnitude outside zero and [1e-296, DBL_MAX], `%.4f` from 9999, `%d` outside
+[0, 9999] and each call of fewer than _FEW values; only `%.4f` and `%d` widen
+a cell.  A json cell re-lays the 13 digits of `%.12e`: a decimal of at most 15
+significant digits survives the round trip through a normal double, so repr
+gives back those digits without their trailing zeros, and zero's one, "0.0".
+What `%.12e` leaves to `%` goes through repr.  A kernel is a fixed few dozen
+numpy calls, in place where they can be, that write their words into one
+array, so it costs per cell more than per call.
 
 `lines` lays out rows of text and cells in blocks of at most BLOCK_CELLS cells,
 a bytes chunk each; a distinct column goes through `cells` once a block, an
-indexed one (a vertex lattice, an axis) once a call.
+indexed one (a vertex lattice, an axis, a column of one value) once a call.
 """
 
 import numpy as np
@@ -31,50 +37,76 @@ _BLANK = _words(*np.where(_n >= [1000, 100, 10, 0], _DIGITS, 0).T)  # leading ze
 _TAIL = _words(*_DIGITS[:1000, 1:].T, ord("e"))
 _LEAD = _words(np.repeat([0, ord("-")], 100), np.tile(_DIGITS[:100, 2], 2),
                ord("."), np.tile(_DIGITS[:100, 3], 2))  # "-1.2" at 100 * sign + 12
-_n = abs(np.arange(_E_MIN, _E_MAX + 1))    # "+308", "-05": hundreds as filler below 100
-_EXP = _words(np.repeat([ord("-"), ord("+")], [-_E_MIN, _E_MAX + 1]),
+# Row p is the exponent 308 - p: "+308", "-05", hundreds as filler below 100.
+_n = abs(np.arange(_E_MAX, _E_MIN - 1, -1))
+_EXP = _words(np.repeat([ord("+"), ord("-")], [_E_MAX + 1, -_E_MIN]),
               *np.where(_n[:, None] >= [100, 0, 0], _DIGITS[_n, 1:], 0).T)
 _MINUS, _DOT = _words(ord("-"), 0, 0, 0), _words(ord("."), 0, 0, 0)
-# Correctly rounded 10**p for p = 12 - e over the kernel's exponent range.
-_POW10 = np.array([float(f"1e{p}") for p in range(12 - _E_MAX, 13 - _E_MIN)])
+# Correctly rounded 10**k, k = 12 - e, at row p of the exponent e = 308 - p, and
+# how near a tie its product may fall: exact for k in 0..22, 2**-50 of it else.
+_n = np.arange(12 - _E_MAX, 13 - _E_MIN)
+_POW10 = np.array([float(f"1e{k}") for k in _n])
+_SLACK = np.where((_n >= 0) & (_n <= 22), 0.0, 2.0 ** -50)
 
 
-def _far_from_tie(m):
-    return np.abs(m - np.floor(m) - 0.5) > 2.0 ** -50 * m
+def _cells(n, *words):  # (n, 4 * len(words)) bytes of words: a uint32, array or (table, index)
+    out = np.empty((n, len(words)), np.uint32)
+    for k, word in enumerate(words):
+        out[:, k] = word[0][word[1]] if isinstance(word, tuple) else word
+    return out.view(np.uint8)
 
 
-def _cells(*words):  # words broadcast together; x.shape + (4 * len(words),) bytes
-    return np.stack(np.broadcast_arrays(*words), -1).view(np.uint8)
+def _split(q, unit):  # q // unit, and q % unit in place of q
+    hi = q // unit
+    q -= hi * unit
+    return hi
+
+
+def _far_from_tie(m, q, slack=0.0):  # q = rint(m); 0.5 - |m - q| is exact
+    return 0.5 - np.abs(m - q) > slack * m
 
 
 def _fixed(x):
-    y = np.fmin(np.abs(x), 9999.0) * 1e4
-    q = np.rint(y).astype(np.int64)
-    ok = (np.abs(x) < 9999.0) & _far_from_tie(y)
-    return _cells(np.where(np.signbit(x), _MINUS, 0), _BLANK[q // 10_000], _DOT, _QUAD[q % 10_000]), ok
+    y = np.fmin(np.abs(x), 9999.0)
+    y *= 1e4  # exact 10**4: rounded once
+    q = np.rint(y)
+    ok = (y < 9999e4) & _far_from_tie(y, q)
+    q = q.astype(np.int64)
+    return _cells(x.size, np.signbit(x) * _MINUS, (_BLANK, _split(q, 10_000)), _DOT, (_QUAD, q)), ok
 
 
 def _digits(x):
-    """Sign, 13 significant digits q, exponent e and ok mask of `%.12e`.
+    """Sign, 13 significant digits q, _EXP row p of the exponent and ok mask of `%.12e`.
 
-    q and e are 0 at zero and where not ok."""
+    At zero q is 0 and p the row of +00; where not ok both are only in range."""
     a = np.abs(x)
-    b = np.where((a >= 1e-296) & (a < np.inf), a, 1.0)
-    e = np.clip(np.floor(np.log10(b)).astype(np.int64), _E_MIN, _E_MAX)
-    m = b * _POW10[_E_MAX - e]
+    b = np.fmax(a, 1e-296)
+    np.fmin(b, np.finfo(float).max, out=b)
+    ok = a == b
+    e = np.floor(np.log10(b))
+    p = np.minimum(_E_MAX - e, _E_MAX - _E_MIN).astype(np.intp)  # log10 may round below -296
+    m = _POW10[p]
+    m *= b
     q = np.rint(m)
+    ok &= (m >= 1e12) & (q <= 1e13) & _far_from_tie(m, q, _SLACK[p])
     # Digits that round up to 10**13 carry into the next exponent, as do those
     # of a log10 one short; one over (m < 10**12, below a power of ten) falls back.
-    ok = ((m >= 1e12) & (q <= 1e13) & (a == b) | (a == 0.0)) & _far_from_tie(m)
-    carry, keep = q == 1e13, ok & (a != 0.0)
-    q = np.where(keep, np.where(carry, 1e12, q), 0).astype(np.int64)
-    return np.signbit(x), q, np.where(keep, e + carry, 0), ok
+    carry = q >= 1e13
+    np.copyto(q, 1e12, where=carry)
+    p -= carry
+    zero = a == 0.0
+    ok |= zero
+    np.copyto(q, 0.0, where=zero)
+    np.copyto(p, _E_MAX, where=zero)
+    return np.signbit(x), q.astype(np.int64), p, ok
 
 
 def _sci(x):
-    neg, q, e, ok = _digits(x)
-    return _cells(_LEAD[100 * neg + q // 10 ** 11], _QUAD[q // 10 ** 7 % 10_000],
-                  _QUAD[q // 1000 % 10_000], _TAIL[q % 1000], _EXP[e - _E_MIN]), ok
+    neg, q, p, ok = _digits(x)
+    b = _split(q, 10 ** 7)
+    a = _split(b, 10_000)
+    a += 100 * neg
+    return _cells(x.size, (_LEAD, a), (_QUAD, b), (_QUAD, _split(q, 1000)), (_TAIL, q), (_EXP, p)), ok
 
 
 # A json cell is 20 bytes gathered from 24 source bytes: the 13 digits, "-",
@@ -100,32 +132,46 @@ def _layout(neg, e, k):
 
 _LAYOUT = np.array([_layout(neg, e, k) for neg in (0, 1)
                     for e in (*range(-4, 16), None) for k in range(1, 14)], dtype=np.intp)
-_n = np.arange(10_000)
-_TRAILING = sum(_n % 10 ** j == 0 for j in range(1, 4))  # trailing zeros of 1..9999
+_n = _E_MAX - np.arange(_E_MAX - _E_MIN + 1)  # the exponent of _EXP row p
+_CLASS = np.where((_n >= -4) & (_n < 16), _n + 4, 20) * 13 + 12  # the _LAYOUT row of k = 13
+_TRAILING = np.zeros(10 ** 5, np.int8)  # trailing zeros of 00000..99999
+for _k in range(1, 6):
+    _TRAILING[::10 ** _k] += 1
 
 
 def _repr(x):
-    neg, q, e, ok = _digits(x)
-    b0, b1, b2, b3 = q // 10 ** 9, q // 10 ** 5 % 10_000, q // 10 % 10_000, q % 10
-    src = _cells(_QUAD[b0], _QUAD[b1], _QUAD[b2], _UNIT[b3], _EXP[e - _E_MIN], _E_FILL)
-    # Trailing zeros of the digits (b0 >= 1000); zero and the cells left to
-    # repr get some layout, which the fallback overwrites.
-    zeros = np.where(b3, 0, 1 + np.where(b2, _TRAILING[b2], 4 + np.where(
-        b1, _TRAILING[b1], 4 + _TRAILING[b0])))
-    cls = np.where((e >= -4) & (e < 16), e + 4, 20)
-    index = _LAYOUT[(21 * neg + cls) * 13 + 12 - zeros]  # 160 bytes a cell: built in place
-    index += 24 * np.arange(q.size).reshape(*q.shape, 1)
-    return src.reshape(-1)[index], ok & (q != 0)
+    neg, q, p, ok = _digits(x)
+    b1 = _split(q, 10 ** 5)
+    b0 = _split(b1, 10_000)
+    # Trailing zeros of the last five digits, then of b1 and b0; zero keeps one digit, "0.0".
+    zeros = _TRAILING[q] + (q == 0) * (_TRAILING[10 * b1] - 1 + (b1 == 0) * (_TRAILING[10 * b0] - 1))
+    np.minimum(zeros, 12, out=zeros)
+    src = _cells(x.size, (_QUAD, b0), (_QUAD, b1), (_QUAD, _split(q, 10)), (_UNIT, q), (_EXP, p),
+                 _E_FILL)
+    row = _CLASS[p]
+    row += 21 * 13 * neg
+    row -= zeros
+    index = np.take(_LAYOUT, row, axis=0)  # 160 bytes a cell: built in place
+    index += np.arange(0, 24 * x.size, 24)[:, None]
+    return np.take(src.reshape(-1), index, mode="wrap"), ok
 
 
-# A cells call costs as much as a few thousand cells, and json takes ~300 B a cell.
-BLOCK_CELLS = 4096
+def _int(n):
+    return np.take(_BLANK, n, mode="clip")[:, None].view(np.uint8), (n >= 0) & (n < 10_000)
 
-_KERNELS = {
-    "%.12e": (_sci, "%.12e".__mod__),
-    "%.4f": (_fixed, "%.4f".__mod__),
-    "%d": (lambda n: (_cells(_BLANK[np.clip(n, 0, 9999)]), (n >= 0) & (n < 10_000)), "%d".__mod__),
-    "json": (_repr, lambda v: repr(float("%.12e" % v))),
+
+# A kernel call costs 4-40 us whatever its size, then about 1 ns a %d cell, 8 ns
+# a %.4f, 40 ns a %.12e and 70 ns a json cell; `%` costs 0.5-1.1 us a value, so
+# fewer than _FEW values go through it.  json takes ~250 B a cell while it runs,
+# and 8192 cells hold a 1,001-row table of 7 columns in one block.
+BLOCK_CELLS = 8192
+_FEW = 16
+
+_KERNELS = {  # spec: kernel, `%`, the kernel's cell width
+    "%.12e": (_sci, "%.12e".__mod__, 20),
+    "%.4f": (_fixed, "%.4f".__mod__, 16),
+    "%d": (_int, "%d".__mod__, 4),
+    "json": (_repr, lambda v: repr(float("%.12e" % v)), 20),
 }
 
 
@@ -134,18 +180,20 @@ def cells(x: np.ndarray, spec: str) -> np.ndarray:
 
     spec is "%.12e", "%.4f", "%d" or "json", the JSON number repr(float("%.12e" % v)).
     """
-    kernel, fmt = _KERNELS[spec]
-    out, ok = kernel(x)
-    miss = np.flatnonzero(~ok)
+    kernel, fmt, width = _KERNELS[spec]
+    flat = x.reshape(-1)
+    if flat.size < _FEW:
+        out, miss = np.zeros((flat.size, width), np.uint8), np.arange(flat.size)
+    else:
+        out, ok = kernel(flat)
+        miss = np.flatnonzero(~ok)
     if miss.size:
         # numpy pads bytes strings with NUL, the filler byte.
-        text = np.array([fmt(v).encode() for v in x.ravel()[miss].tolist()])
-        flat = out.reshape(x.size, -1)
-        if text.itemsize > flat.shape[1]:  # %.4f from 9999 up, %d outside [0, 9999]
-            flat = np.pad(flat, ((0, 0), (0, text.itemsize - flat.shape[1])))
-        flat.view(f"S{flat.shape[1]}")[miss, 0] = text
-        out = flat.reshape(*x.shape, -1)
-    return out
+        text = np.array([fmt(v).encode() for v in flat[miss].tolist()])
+        if text.itemsize > out.shape[1]:  # %.4f from 9999 up, %d outside [0, 9999]
+            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+        out.view(f"S{out.shape[1]}")[miss, 0] = text
+    return out.reshape(*x.shape, out.shape[1])
 
 
 def lines(parts, sep: str) -> list[bytes]:

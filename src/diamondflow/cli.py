@@ -44,7 +44,8 @@ MAX_OUTPUT_ROWS = 10_000_000
 def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[bytes]:
     """CSV or JSON bytes of equal-length columns, one row per element.
 
-    A column is an array or (values, index), the column values[index].
+    A column is an array or (values, index), the column values[index]; a
+    column of one value is written as such a pair.
     Float columns print as %.12e, with -0.0 written as 0.0, and in JSON as
     the shortest repr of that value; a column with a non-finite value is
     OutOfRange (exit 3).  Boolean columns print as 0 and 1.  JSON is one
@@ -59,6 +60,8 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[byt
             raise OutOfRange(f"column {name} has a non-finite value")
         elif np.signbit(values[values == 0.0]).any():  # copied only to write -0.0 as 0.0
             values = values + 0.0
+        if not index and values[0] == values[-1] and (values == values[0]).all():
+            values, index = values[:1], [np.zeros(len(values), np.intp)]  # formatted once
         parts.append((values, "%d" if values.dtype == np.int64 else float_spec, *index))
     if fmt == "csv":
         row = [part for col in parts for part in (",", col)]
@@ -130,14 +133,21 @@ def _pair(text: str) -> tuple[float, float]:
     return _parse(float, parts[0]), _parse(float, parts[1])
 
 
-def _trange(text: str) -> tuple[float, float, int]:
+class _TRange(tuple):
+    """(MIN, MAX, N) of --t; error says why a run that reads MIN and N refuses them."""
+    error = None
+
+
+def _trange(text: str) -> _TRange:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:N, got {text!r}")
-    t_min, t_max, n = _real(parts[0]), _real(parts[1]), _count(parts[2], 2)
-    if not t_min < t_max:
-        raise argparse.ArgumentTypeError(f"needs MIN < MAX, got {text!r}")
-    return t_min, t_max, n
+    t = _TRange((_real(parts[0]), _real(parts[1]), _count(parts[2], -math.inf)))
+    if t[2] < 2:
+        t.error = f"must be >= 2, got {t[2]}"
+    elif not t[0] < t[1]:
+        t.error = f"needs MIN < MAX, got {text!r}"
+    return t
 
 
 @cache  # one parser per process: parse_args leaves it unchanged
@@ -199,6 +209,14 @@ def _check_shade(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
             parser.error("--shade is defined for --region diamond")
         if args.grid * args.grid > MAX_OUTPUT_ROWS:
             parser.error(f"--shade --grid asks for more than {MAX_OUTPUT_ROWS} cells")
+
+
+def _check_t(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """--t needs MIN < MAX and N >= 2, except under limits --grid, which reads only MAX."""
+    error = getattr(args, "t", _TRange()).error
+    if error and not (args.subcommand == "limits" and args.grid is not None):
+        sub = next(action for action in parser._actions if action.dest == "subcommand")
+        sub.choices[args.subcommand].error(f"argument --t: {error}")
 
 
 # ----------------------------------------------------------------- subcommands
@@ -304,6 +322,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_t(parser, args)
         _check_shade(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -76,7 +76,7 @@ def render_figure(outline, closed, orbits, hyperbola_w=None, shade=None):
     if shade is not None:
         x1, x0, corners, value = shade
         px, py = frame.to_px(x1, x0)
-        g = (np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.int64), "%d")
+        g = (np.arange(256), "%d", np.rint(255.0 * np.clip(value, 0.0, 1.0)).astype(np.intp))
         points = [part for k in corners.T
                   for part in (" ", (px, "%.4f", k), ",", (py, "%.4f", k))][1:]
         chunks += [*lines(['<polygon points="', *points, '" fill="rgb(255,', g, ",", g,

@@ -173,6 +173,25 @@ def test_exit_invalid_config(capsys):
         assert re.search(re.escape(flag) + r"(?![\w-])", captured.err), (command, captured.err)
 
 
+def test_limits_grid_reads_only_max_of_t(capsys):
+    # The regime map probes at MAX of --t, so MIN >= MAX and N < 2 are not
+    # refused there; every run that samples --t still refuses them.
+    assert main("limits --mode wedge --L1 1 --grid 3 --t 0:1:3".split()) == 0
+    expected = capsys.readouterr()
+    for t in ("5:1:2", "0:1:1"):
+        assert main(f"limits --mode wedge --L1 1 --grid 3 --t {t}".split()) == 0
+        assert capsys.readouterr() == expected
+    assert main("limits --mode wedge --grid 3 --t 0:1:x".split()) == 2
+    assert "argument --t: invalid int value: 'x'" in capsys.readouterr().err
+    for command in ("traj", "plot", "limits --mode wedge --L1 1 --start 0.5,-0.5"):
+        for t, message in (("5:1:2", "needs MIN < MAX, got '5:1:2'"), ("0:1:1", "must be >= 2, got 1")):
+            assert main([*command.split(), "--t", t]) == 2
+            out, err = capsys.readouterr()
+            prog = f"diamondflow {command.split()[0]}"
+            assert out == "" and err.startswith(f"usage: {prog} ")
+            assert err.endswith(f"\n{prog}: error: argument --t: {message}\n")
+
+
 def test_exit_unknown_flag_or_subcommand(capsys):
     assert main(["traj", "--frobnicate"]) == 2
     assert main(["orbit"]) == 2
@@ -459,7 +478,10 @@ def test_large_json_matches_reference(capsys):
 
 
 # Tables of several row blocks: a field, an orbit in JSON, a scan, a regime
-# map (its within_tol column is %d), a shaded plot and a long polyline.
+# map (its within_tol column is %d), a shaded plot and a long polyline.  Each
+# spans at least two blocks of _BLOCK_CELLS cells, which the test sets, so
+# that they stay several blocks whatever BLOCK_CELLS is tuned to.
+_BLOCK_CELLS = 4096
 _BLOCKED = [
     "field --grid 40",
     "field --grid 40 --L 3e-5 --format json",
@@ -473,7 +495,8 @@ _BLOCKED = [
 
 
 @pytest.mark.parametrize("command", _BLOCKED)
-def test_row_blocks_match_per_column_reference(command, capsys):
+def test_row_blocks_match_per_column_reference(command, capsys, monkeypatch):
+    monkeypatch.setattr(_text, "BLOCK_CELLS", _BLOCK_CELLS)
     blocks = []
 
     def counted(parts, sep):
@@ -621,8 +644,8 @@ def test_negative_zero_written_as_zero():
 
 @pytest.mark.parametrize("grid", [1, 2, 30])
 def test_each_distinct_value_formatted_once(grid, monkeypatch):
-    # The shade's lattice vertices and field's beta axis go through the text
-    # kernels once; the colour, repeated in each polygon, once per block.
+    # The shade's lattice vertices, its 256 colour levels and field's beta
+    # axis go through the text kernels once.
     sizes, cells = {}, _text.cells
 
     def counted(x, spec):
@@ -632,12 +655,47 @@ def test_each_distinct_value_formatted_once(grid, monkeypatch):
     monkeypatch.setattr(_text, "cells", counted)
     assert main(["plot", "--shade", "--grid", str(grid), "--out", os.devnull]) == 0
     # The outline's four vertices add their own 8.
-    assert sizes == {"%.4f": 2 * (grid + 1) ** 2 + 8, "%d": grid * grid}
+    assert sizes == {"%.4f": 2 * (grid + 1) ** 2 + 8, "%d": 256}
     sizes.clear()
     n = grid + 1
     assert main(["field", "--grid", str(n), "--out", os.devnull]) == 0
-    # z+-, T, a and ratio per row, beta+- one value per axis point.
-    assert sizes == {"%.12e": 5 * n * (n + 1) // 2 + n}
+    # z+-, T, a and ratio per row, beta+- one value per axis point; a column of
+    # one value, T of --grid 2's three symmetric rows, once.
+    rows = n * (n + 1) // 2
+    assert sizes == {"%.12e": 5 * rows + n - (rows - 1 if n == 2 else 0)}
+
+
+# The text layer's budget on the benchmark's command shapes: cells calls,
+# cells formatted and cells written by Python's `%` (values the kernels leave
+# to it, and calls of a few values: plot's outline, traj's constant a).  One
+# more call a block, or a repeated value formatted again, fails here.
+_BUDGET = [("field --grid 100", 6, 25_350, 6),
+           ("plot --shade --grid 50", 4, 5_466, 8),
+           ("traj --start=0.3,-0.3 --t=-8:8:1001 --format json", 2, 6_007, 4),
+           ("limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001", 1, 7_007, 0)]
+
+
+@pytest.mark.parametrize("command, calls, formatted, left", _BUDGET, ids=[b[0] for b in _BUDGET])
+def test_text_kernel_budget(command, calls, formatted, left, monkeypatch):
+    count = [0, 0, 0]
+    cells = _text.cells
+
+    def counted(x, spec):
+        count[0] += 1
+        count[1] += np.size(x)
+        return cells(x, spec)
+
+    def python(fmt):
+        def run(v):
+            count[2] += 1
+            return fmt(v)
+        return run
+
+    monkeypatch.setattr(_text, "cells", counted)
+    for spec, (kernel, fmt, width) in _text._KERNELS.items():
+        monkeypatch.setitem(_text._KERNELS, spec, (kernel, python(fmt), width))
+    assert main([*command.split(), "--out", os.devnull]) == 0
+    assert count == [calls, formatted, left]
 
 
 @pytest.mark.parametrize("command", ["field --grid 400", "field --grid 400 --format json",

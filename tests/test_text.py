@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import join, lines_reference
-from diamondflow._text import BLOCK_CELLS, _fixed, _repr, _sci, cells, lines
+from diamondflow._text import _FEW, BLOCK_CELLS, _fixed, _repr, _sci, cells, lines
 
 
 def _python(spec, v):
@@ -14,9 +14,11 @@ def _python(spec, v):
 
 
 def _check(values, spec):
+    # As given, and repeated past _FEW values so that the kernel formats them all.
     x = np.asarray(values)
-    text = join([cells(x, spec)], "\n")
-    assert text.split("\n") == [_python(spec, v) for v in x.tolist()]
+    for v in (x, np.resize(x, x.size + _FEW)):
+        text = join([cells(v, spec)], "\n")
+        assert text.split("\n") == [_python(spec, a) for a in v.tolist()]
 
 
 _FINITE = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
@@ -97,6 +99,26 @@ def test_json_edge_values():
     _check(np.concatenate([ties, *near, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]), "json")
 
 
+def test_ties_at_exact_powers_of_ten():
+    # With 10**k exact (k = 12 - e in 0..22) |x| * 10**k rounds once, so only a
+    # product that lands on a tie is left to `%`: the digits of a value two or
+    # three ulps beside a 13-digit tie come from the product alone.
+    rng = np.random.default_rng(13)
+    exponents = rng.integers(-10, 13, 2000)
+    ties = np.array([float(f"{d}5e{e - 13}")
+                     for d, e in zip(rng.integers(10 ** 12, 10 ** 13, 2000), exponents)])
+    beside = []
+    for direction in (0.0, np.inf):
+        x = ties
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            beside.append(x)
+    for x in (ties, *beside):
+        _check(x, "%.12e")
+        _check(-x, "json")
+    assert _sci(np.concatenate(beside[1::3] + beside[2::3]))[1].all()
+
+
 def test_fixed_edge_values():
     # k/32 are the exact %.4f ties; both sides round half to even.
     ties = np.arange(-320, 321) / 32.0
@@ -140,6 +162,7 @@ def test_cells_keep_the_array_shape(spec):
     x = np.arange(24.0).reshape(2, 3, 4) - 11.5
     c = cells(x, spec)
     assert c.shape[:3] == x.shape and c.dtype == np.uint8
+    assert cells(x[:0], spec).shape[:3] == (0, 3, 4)
     assert join([c.reshape(24, -1)], ",") == ",".join(_python(spec, v) for v in x.ravel().tolist())
 
 
