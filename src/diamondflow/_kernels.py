@@ -9,7 +9,9 @@ from the rapidities, not from the rounded u(t), as orbit_rate reads dtau/dt.
 wedge_orbit is the boost in null coordinates; diamond_moves and wedge_moves
 give the displacements from the start.  global_null is the one map from
 centered pairs to the global null and Cartesian columns, for a float pair
-and for arrays alike, and thermal is the one source of the thermal quantities.
+and for arrays alike: z_pm = u_pm +- L1, one rounding each, on the side of
+x1's sign, and x0, x1 from the centered pair.  thermal is the one source of
+the thermal quantities.
 rk4_diamond and rk4_wedge step the generator field with scalar RK4 loops,
 the diamond's in v = u/L coordinates for every L the float range holds, and
 never consult the closed forms, so they stay an independent check.
@@ -177,21 +179,17 @@ def global_null(u_plus, u_minus, size: float, shift: float):
     """Global (z_plus, z_minus, x0, x1) of centered pairs on the +e1 axis
     of the diamond of half-width size centered at x1 = shift.
 
+    z_pm = u_pm +- shift, each rounded once, swapped where x1 < 0 (a crossed
+    pair maps to its mirror image).  x0 = (u+ + u-)/2, which translation does
+    not move, and x1 = shift + (u+ - u-)/2 are formed from the centered pair,
+    so neither carries the rounding of z_pm at the scale of shift.
     geometry.null_from_centered is its case of a float pair."""
     # Only beyond this bound can a sum or difference of coordinates overflow.
     wide = abs(shift) + 2.0 * size > 2.0 ** 1022
+    a, b = u_plus + shift, u_minus - shift  # a - b = 2 x1, and rounding keeps its sign
+    z_plus, z_minus = np.maximum(a, b), np.minimum(a, b)
     x0, xi = _halves(u_plus, u_minus, wide)
-    if shift == 0.0:
-        # Rounding guard: a pair that started ordered cannot cross, so a
-        # crossed one goes to its midpoint x0, at radius 0.
-        ordered = u_plus >= u_minus
-        return (np.where(ordered, u_plus, x0), np.where(ordered, u_minus, x0),
-                x0, np.where(ordered, xi, 0.0))
-    x1 = shift + xi
-    r = np.abs(x1)
-    z_plus, z_minus = x0 + r, x0 - r
-    x0, r = _halves(z_plus, z_minus, wide)
-    return z_plus, z_minus, x0, np.where(x1 < 0.0, -r, r)
+    return z_plus, z_minus, x0, shift + xi
 
 
 def null_beta(u, size: float):

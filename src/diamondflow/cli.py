@@ -29,7 +29,7 @@ from ._text import lines
 from .errors import DiamondflowError, OutOfRange, SpecMismatch
 from .figures import render_figure
 from .flow import Trajectory, sample_trajectory
-from .geometry import DiamondSpec, NullRadialCoords, SpacetimePoint, WedgeSpec
+from .geometry import DiamondSpec, NullRadialCoords, SpacetimePoint, WedgeSpec, _half_sum
 from .limits import MODES, deviation_scan, regime_map
 
 _FIELD_MARGIN = 1e-3
@@ -225,10 +225,9 @@ def _orbit(args: argparse.Namespace, start: tuple[float, float]) -> Trajectory:
     """The orbit through one --start pair over the --t grid."""
     zp0, zm0 = start
     if args.region == "diamond":
-        region, point = DiamondSpec(args.L, args.L1), NullRadialCoords(zp0, zm0)
-    else:
-        region, point = WedgeSpec(args.apex), SpacetimePoint(0.5 * (zp0 + zm0), 0.5 * (zp0 - zm0))
-    return sample_trajectory(point, *args.t, region)
+        return sample_trajectory(NullRadialCoords(zp0, zm0), *args.t, DiamondSpec(args.L, args.L1))
+    point = SpacetimePoint(_half_sum(zp0, zm0), _half_sum(zp0, -zm0))
+    return sample_trajectory(point, *args.t, WedgeSpec(args.apex))
 
 
 _TRAJ_COLS = ("t", "z_plus", "z_minus", "x0", "x1", "T", "a")
@@ -314,8 +313,8 @@ def _shade_cells(d: DiamondSpec, n: int):
     # Vertex a (n+1) + b is (up, um) = (edges[a], edges[b]).  Cell (i, j) spans up in
     # edges[i:i+2] and um in edges[j:j+2]; its corners run (p0, q0), (p1, q0), (p1, q1), (p0, q1).
     corners = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).reshape(-1, 1) + [0, n + 1, n + 2, 1]
-    up, um = np.repeat(edges, n + 1), np.tile(edges, n + 1)
-    return L1 + 0.5 * (up - um), 0.5 * (up + um), corners, value
+    _, _, x0, x1 = global_null(np.repeat(edges, n + 1), np.tile(edges, n + 1), L, L1)
+    return x1, x0, corners, value
 
 
 def main(argv=None) -> int:

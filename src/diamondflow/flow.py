@@ -14,13 +14,13 @@ coordinates u_pm by t/2:
     u_pm(t) = L tanh(rho_pm + t/2),
 
 which stays in the closed diamond for every t.  Translated diamonds
-reduce to the centered case by the shift in geometry.centered_null_pair
-and return by _kernels.global_null, so translation covariance is exact by
-construction.  _orbit is the one evaluator of an orbit's positions, null
-displacements and dtau/dt.  integrate_flow_rk4 is an independent check on
-the closed forms: it integrates the generator field with classical
-fixed-step RK4, in v = u/L coordinates in a diamond, and never consults
-the rapidity or boost formulas.
+reduce to the centered case by geometry.centered_null_pair and return by
+_kernels.global_null, one rounding per null coordinate each way, so they
+are as accurate as centered ones.  _orbit is the one evaluator of an
+orbit's positions, null displacements and dtau/dt.  integrate_flow_rk4 is
+an independent check on the closed forms: it integrates the generator
+field with classical fixed-step RK4, in v = u/L coordinates in a diamond,
+and never consults the rapidity or boost formulas.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _orbit(start, spec: RegionSpec):
     def columns(t):
         z_plus, z_minus, x0, x1 = _kernels.global_null(
             *_kernels.diamond_orbit(up, um, size, t), size, shift)
-        r = np.abs(x1)
+        r = np.abs(x1)  # x1 < 0 on the -e1 side: no -0.0 in x2, x3
         return z_plus, z_minus, x0, x1 * axis[0], r * axis[1], r * axis[2]
 
     return (columns, lambda t: _kernels.diamond_moves(vp, vm, 1.0, t),
@@ -214,7 +214,8 @@ def proper_acceleration(start, spec: RegionSpec) -> float:
     so it is independent only of the formula a = 2 pi T r/L it is used to
     check.  Its relative error is about h^2/12 = 5e-9 up to the last float
     below the faces and off the wedge's horizon; it grows toward the central
-    orbit, where a vanishes, to under 1e-5 at |v+ - v-| = 1e-5.  Scaling
+    orbit, where a vanishes: at L = 1, v+ = 0.5 it is 2.3e-7, 2.8e-5 and
+    0.33 at |v+ - v-| = 1e-5, 1e-6 and 1e-8 (v+ = 0.99: 4e-6, 4e-4, 1.7).  Scaling
     the start and the region by 2^k scales a by 2^-k exactly.  Raises
     OutOfRange only where a leaves the float range.
     """

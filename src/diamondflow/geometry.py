@@ -10,7 +10,8 @@ center sits at x1 = L1 on the first spatial axis.
 Diamonds are parameterized by half-width L and center offset L1; the
 flow and thermal modules always reduce a translated diamond to the
 centered one, and the helpers at the bottom of this module perform that
-reduction.
+reduction: u_pm = z_pm -+ L1 on the side of the point's direction, and
+back by _kernels.global_null, one rounding per null coordinate each way.
 """
 
 from __future__ import annotations
@@ -231,34 +232,34 @@ def centered_null_pair(z: NullRadialCoords, d: DiamondSpec) -> tuple[float, floa
     xi is the signed displacement along the flow axis.  For a centered
     diamond any direction works and xi equals the radius; a translated
     diamond supports only directions along +-e1, and xi = x1 - L1 may
-    then be negative.  Returns (u_plus, u_minus, axis) with axis the
-    unit 3-vector the signed xi refers to.  z must be NullRadialCoords.
+    then be negative.  u_pm = z_pm -+ L1, swapped on the -e1 side, one
+    rounding each: the inverse of _kernels.global_null.  Returns (u_plus,
+    u_minus, axis), axis the unit 3-vector of xi.  z must be NullRadialCoords.
     """
     if not isinstance(z, NullRadialCoords):
         raise TypeError(f"a diamond point must be NullRadialCoords, got {type(z).__name__}")
-    if d.translation_L1 == 0.0:
-        return z.z_plus, z.z_minus, z.direction
-    dirv = z.direction
+    L1, dirv = d.translation_L1, z.direction
+    if L1 == 0.0:
+        return z.z_plus, z.z_minus, dirv
     if abs(dirv[1]) > _AXIS_TOL or abs(dirv[2]) > _AXIS_TOL:
         raise OutOfRange(
             "translated diamonds only support points in the x0-x1 plane; "
             f"got direction {dirv!r}"
         )
-    sign = 1.0 if dirv[0] > 0.0 else -1.0
-    xi = sign * z.radius - d.translation_L1
-    x0 = z.x0
-    return x0 + xi, x0 - xi, (1.0, 0.0, 0.0)
+    if dirv[0] > 0.0:
+        return z.z_plus - L1, z.z_minus + L1, (1.0, 0.0, 0.0)
+    return z.z_minus - L1, z.z_plus + L1, (1.0, 0.0, 0.0)
 
 
 def null_from_centered(u_plus: float, u_minus: float,
                        axis: tuple[float, float, float],
                        d: DiamondSpec) -> NullRadialCoords:
     """Global null-radial coordinates from centered signed null coordinates,
-    by _kernels.global_null; in a translated diamond, on the side of x1's sign."""
+    by _kernels.global_null: in the direction of axis, or of -axis where x1 < 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # NullRadialCoords rejects inf and nan
         z_plus, z_minus, _, x1 = _kernels.global_null(u_plus, u_minus, d.size_L, d.translation_L1)
-    if d.translation_L1 != 0.0:
-        axis = (math.copysign(1.0, x1), 0.0, 0.0)
+    if x1 < 0.0:
+        axis = tuple(0.0 - c for c in axis)  # 0.0 - c: no -0.0 component
     return NullRadialCoords(z_plus, z_minus, axis)
 
 

@@ -27,6 +27,7 @@ from _helpers import (
     orbit_ref,
     temperature_ref,
     thermal_ref,
+    wedge_ref,
 )
 from diamondflow import _text, cli, figures
 from diamondflow.cli import MAX_OUTPUT_ROWS, _build_parser, _check_shade, main
@@ -68,12 +69,21 @@ def test_golden(command, golden, tmp_path):
 _SHA256_PINS = [
     ("field --grid 400", "cc8b8d64ac934c3f4d52089b8a213d17b907e1ad0b6ac1a1cee5a36eae8c9c8f"),
     ("plot --shade --grid 200", "549dbd1c2f3df577e48dc2017ab42045974adb686f18f78e8a921bf729adcc73"),
+    # The shade of a diamond 1e10 half-widths from the origin, whose vertices
+    # x0 = (u+ + u-)/2 and x1 = L1 + (u+ - u-)/2 come from the centered pair:
+    # halved from z_pm = u_pm +- L1 instead, 5,938 printed vertex coordinates
+    # move, by up to 5e-4 px.
+    ("plot --shade --grid 40 --L 1 --L1=-1e10",
+     "70cf0efd75de92b3ed3ee10ff7cc4ca9472a804fa5536b76d74042759b08a62f"),
     ("limits --mode wedge --L 1 --L1 1 --start 0.5,-0.5 --t 0:1:20001",
      "bafc7bd13bce5bfa2354641abc0ed21c348be9a71ae0b066b1359c39d350868a"),
     ("field --grid 64 --L 3.1e-200 --L1=-7e-201",
      "627571ea5c36ebb54fc2b7057ff0e13a318ce682d0968371d0b94a018f178442"),
+    # Re-recorded when z_pm = u_pm +- L1 became one rounding each: 2 z_plus
+    # cells moved, both closer to mpmath (worst relative error 9.0e-14 ->
+    # 2.2e-14); no other cell moved.
     ("field --grid 64 --L 2.5e250 --L1=1e250",
-     "1cd8005963ef34b66f22ca90c3024175c94f9407854034ac67c897a034fdccfc"),
+     "f7530c56da42714830945dde59eb846ccf218c90bb8b445f7760f56f09245a3d"),
     ("plot --start 0.5,-0.5 --start=0.2,-0.7 --t=-8:8:20001 --hyperbola-w 0.4",
      "3936e9fc45d7be79b8ede64f70e7402affde0c5e1bd76110b75d80e4daee5084"),
     # Recorded after the wedge boost moved to null-coordinate displacements;
@@ -86,10 +96,16 @@ _SHA256_PINS = [
     # Recorded before traj and plot read their orbits from sample_trajectory.
     ("plot --region wedge --apex=-0.2 --start=1,-1 --start=2.5,-0.5 --t=-2:2:4001 --hyperbola-w 1",
      "651efa5b5b23e9ee8b0f1c15c45131bc4385c0ca42d62a428f83c8e518a253e8"),
+    # Both re-recorded when the typed start's u_pm = z_pm -+ L1 became exact
+    # and x0 = (u+ + u-)/2 came from the centered pair.  traj: every x0, T
+    # and a cell moved, all closer to mpmath (worst relative error in x0
+    # 1.5e-7 -> 3.9e-13, in T 3.9e-10 -> 4.8e-13, in a 1.2e-9 -> 9.4e-14);
+    # z_pm and x1 did not move.  plot: 4 of 16,004 orbit pixel coordinates
+    # moved, all closer, to the correctly rounded %.4f.
     ("traj --L 0.7 --L1 2.5e6 --start=2500000.4,-2500000.2 --t=-40:40:4001",
-     "282c152c70ce547d3b6096c646146dbc92c28754923c980906eeea92a2ab57f6"),
+     "570676a36cfd025f0aaaf14493ea25a2fdf21c566003d50377223ad12e7078e5"),
     ("plot --L 0.7 --L1 2.5e6 --start=2500000.4,-2500000.2 --start=2500000.1,-2500000.5 "
-     "--t=-40:40:4001", "4f88f247b16be3620c896b262ca92226d7ae1593f7e34229038a7898df44bbee"),
+     "--t=-40:40:4001", "2df09f23e3649f49ae56650676066db6648b46eb9765ef6e1204b211b1d7fae2"),
     ("limits --mode minkowski --L 3 --start=1.2,-1.2 --t=-8:8:4001",
      "335a56196d5949660f1aa9d1f924b81146ab9767255e174a56e4f05c0e04d220"),
     ("limits --mode minkowski --L 2 --grid 40 --t 0:0.5:9 --format json",
@@ -254,6 +270,8 @@ _RANGE_EDGES = [
     # 2L overflows, and at 1e-308 2 pi T where a itself fits
     "field --grid 3 --L 1e308",
     "traj --L 1e-308 --start 0.5e-308,-0.5e-308",
+    # the wedge start (0, 1e308), whose z+ - z- overflows before it is halved
+    "traj --region wedge --start 1e308,-1e308 --t=-0.5:0.5:3",
 ]
 
 
@@ -274,6 +292,19 @@ def _check_traj(text, L, start):
         T = temperature_ref(*(r + mp.mpf(row["t"]) / 2 for r in rho0), L)
         assert _near(row["T"], T, rel=1e-13), (row, T)
         assert _near(row["a"], a, rel=1e-13), (row, a)
+
+
+def _check_wedge_traj(text, start):
+    mp = mpmath40()
+    zp, zm = map(mp.mpf, start)
+    x0, x1 = (zp + zm) / 2, (zp - zm) / 2
+    a = 1 / mp.sqrt(x1 * x1 - x0 * x0)
+    for row in _rows(text):
+        b0, b1 = wedge_ref(x0, x1, 0.0, row["t"])
+        want = {"z_plus": b0 + b1, "z_minus": b0 - b1, "x0": b0, "x1": b1,
+                "T": a / (2 * mp.pi), "a": a}
+        for col, value in want.items():
+            assert _near(row[col], value, rel=8 * EPS), (row, col, value)
 
 
 def _check_field(text, L, grid):
@@ -349,7 +380,9 @@ def test_range_edge_values(command, capsys):
     opts = dict(zip(command.split()[1::2], command.split()[2::2]))
     L = float(opts.get("--L", 1.0))
     sub = command.split()[0]
-    if sub == "traj":
+    if opts.get("--region") == "wedge":
+        _check_wedge_traj(text, tuple(map(float, opts["--start"].split(","))))
+    elif sub == "traj":
         _check_traj(text, L, tuple(map(float, opts["--start"].split(","))))
     elif sub == "field":
         _check_field(text, L, int(opts["--grid"]))

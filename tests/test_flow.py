@@ -537,10 +537,12 @@ def test_rk4_validates_steps():
 
 def test_trajectory_type_invariants():
     # The record holds the region and the start as given, and float64
-    # columns that share one finite, strictly increasing t grid.
+    # columns that share one finite, strictly increasing t grid; a diamond's
+    # x2 and x3 are +0.0 on the -e1 side too, where x1 < 0.
     z = NullRadialCoords(2.3, -1.9)
     w_start = SpacetimePoint(0.2, 0.9, 0.1, -0.3)
-    for start, spec in ((z, DiamondSpec(0.7, 2.0)), (w_start, WedgeSpec(-0.4))):
+    for start, spec in ((z, DiamondSpec(0.7, 2.0)), (w_start, WedgeSpec(-0.4)),
+                        (NullRadialCoords(2.3, -1.9, (-1.0, 0.0, 0.0)), DiamondSpec(0.7, -2.0))):
         traj = sample_trajectory(start, -5.0, 5.0, 11, spec)
         assert traj.region is spec and traj.start is start
         assert traj.t_values.shape == (11,) and (np.diff(traj.t_values) > 0.0).all()
@@ -550,6 +552,7 @@ def test_trajectory_type_invariants():
         # z_pm = x0 +- r in a diamond, x0 +- x1 in a wedge
         if isinstance(spec, DiamondSpec):
             r = np.hypot(traj.x1, np.hypot(traj.x2, traj.x3))
+            assert not np.signbit(traj.x2).any() and not np.signbit(traj.x3).any()
         else:
             r = traj.x1
         np.testing.assert_allclose(traj.z_plus, traj.x0 + r, rtol=0, atol=1e-12)

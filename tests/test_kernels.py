@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from _helpers import orbit_ref, rk4_wedge_reference, thermal_ref
 from diamondflow import _kernels as K
-from diamondflow.geometry import DiamondSpec, from_null, null_from_centered
+from diamondflow.geometry import DiamondSpec, NullRadialCoords, from_null, null_from_centered
 
 
 def test_orbit_identity_at_zero():
@@ -40,6 +41,23 @@ def test_orbit_finite_for_interior_starts():
             up, um = K.diamond_orbit(max(up0, um0), min(up0, um0), size, t)
             assert np.isfinite(up).all() and np.isfinite(um).all()
             assert (np.abs(up) <= size).all() and (np.abs(um) <= size).all()
+
+
+def test_orbit_never_crosses():
+    # Pairs on and a few ulps beside the central orbit u+ = u- keep
+    # u+(t) >= u-(t) for |t| <= 1400: no orbit of an ordered pair is crossed.
+    rng = np.random.default_rng(19)
+    t = np.concatenate([np.linspace(-1400.0, 1400.0, 1401), rng.uniform(-40.0, 40.0, 600)])
+    for size in (1e-3, 1.0, 1e3):
+        um = rng.uniform(-0.999, 0.999, 1500) * size
+        um[:4] = (np.nextafter(-size, 0.0), 0.0, 0.5 * size, -2.0 ** -1074)
+        steps = rng.integers(0, 5, um.size)
+        up = um
+        for _ in range(4):
+            up = np.where(steps > 0, np.nextafter(up, size), up)
+            steps -= 1
+        up_t, um_t = K.diamond_orbit(up[:, None], um[:, None], size, t)
+        assert (up_t >= um_t).all(), size
 
 
 def test_orbit_matches_mpmath():
@@ -122,9 +140,11 @@ def test_rk4_matches_closed_form():
 
 
 def test_global_null_matches_scalar_path():
-    # The array columns give the bits of NullRadialCoords.x0 and .radius
-    # through from_null, the crossed pairs of the centered rounding guard
-    # included; at 1e308 and 4e307 sums and differences overflow and are
+    # The array columns z_pm give the bits of null_from_centered, crossed
+    # pairs (u+ < u-), which map to their mirror image, included.  x0 and x1
+    # give the bits of NullRadialCoords.x0 and .radius through from_null of
+    # the pair in the centered diamond, x1 moved by L1: translation leaves
+    # x0 alone.  At 1e308 and 4e307 sums and differences overflow and are
     # halved first, and subnormal pairs keep the bits of the halved sum.
     rng = np.random.default_rng(11)
     for L, L1 in ((1.0, 0.0), (1.0, 0.7), (3.0, -4.5), (1e-3, 1e-3), (1e200, -1e199),
@@ -133,10 +153,62 @@ def test_global_null_matches_scalar_path():
         up[:3], um[:3] = (L, -L, 2.5e-323), (-L, L, 5e-324)
         zp, zm, x0, x1 = K.global_null(up, um, L, L1)
         for k in range(up.size):
-            z = null_from_centered(float(up[k]), float(um[k]), (1.0, 0.0, 0.0),
-                                   DiamondSpec(L, L1))
-            x = from_null(z)
-            assert (zp[k], zm[k], x0[k], x1[k]) == (z.z_plus, z.z_minus, x.x0, x.x1)
+            pair = (float(up[k]), float(um[k]), (1.0, 0.0, 0.0))
+            z = null_from_centered(*pair, DiamondSpec(L, L1))
+            x = from_null(null_from_centered(*pair, DiamondSpec(L, 0.0)))
+            assert (zp[k], zm[k], x0[k], x1[k]) == (z.z_plus, z.z_minus, x.x0, L1 + x.x1)
+
+
+def _exact_side(up, um, L1):
+    # z_pm of a centered pair from exact rationals: u_pm +- L1 where
+    # x1 = L1 + (u+ - u-)/2 >= 0, swapped where x1 < 0.
+    up, um, L1 = Fraction(up), Fraction(um), Fraction(L1)
+    return (up + L1, um - L1) if L1 + (up - um) / 2 >= 0 else (um - L1, up + L1)
+
+
+def test_global_null_rounds_once():
+    # z_pm are u_pm +- L1 correctly rounded, on the side of x1's exact sign,
+    # x0 is (u+ + u-)/2 correctly rounded and x1 = L1 + (u+ - u-)/2 is within
+    # an ulp of max(|x1|, |u+|, |u-|), whatever |L1|/L: near and far
+    # translations, crossed pairs, pairs whose x1 is 0 or a few ulps from it,
+    # beyond |L1| + 2L = 2^1022 and for subnormal pairs.
+    rng = np.random.default_rng(29)
+    for L, L1 in ((1.0, 0.0), (1.0, 0.7), (3.0, -4.5), (1e-3, 1e-3), (1.0, 1e12),
+                  (2.5e-3, -2.5e9), (1e200, -1e199), (4e307, 4e307), (6e307, -6e307),
+                  (1e308, 0.0), (3e-310, 1e-310), (1e-320, -3e-321)):
+        up, um = L * rng.uniform(-1.0, 1.0, (2, 300))
+        up[:4], um[:4] = (L, -L, 2.5e-323, -L), (-L, L, 5e-324, L)
+        um[4:8] = up[4:8] + 2.0 * L1 + np.array([0.0, 1.0, -1.0, 2.0]) * np.spacing(L1 + L)
+        zp, zm, x0, x1 = K.global_null(up, um, L, L1)
+        for k in range(up.size):
+            want = tuple(float(z) for z in _exact_side(up[k], um[k], L1))
+            assert (zp[k], zm[k]) == want, (L, L1, k)
+            p, m = Fraction(up[k]), Fraction(um[k])
+            assert x0[k] == float((p + m) / 2), (L, L1, k)
+            err = abs(Fraction(x1[k]) - Fraction(L1) - (p - m) / 2)
+            bound = np.spacing(max(abs(x1[k]), abs(up[k]), abs(um[k])))
+            assert err <= Fraction(bound), (L, L1, k)
+
+
+def test_crossed_pair_maps_to_mirror():
+    # A crossed centered pair, u+ < u-, is the point at x1 = L1 + (u+ - u-)/2
+    # on the far side of the center: global_null and null_from_centered
+    # give it as the same ordered pair, and in a centered diamond as the
+    # swapped pair in the opposite direction.
+    rng = np.random.default_rng(31)
+    axis = (0.6, 0.0, -0.8)
+    for L, L1 in ((1.0, 0.0), (2.0, 0.5), (1.0, -3.0), (1e-3, 1e3)):
+        up, um = np.sort(L * rng.uniform(-1.0, 1.0, (200, 2)), axis=1).T
+        up[0], um[0] = -L, L
+        zp, zm, x0, x1 = K.global_null(up, um, L, L1)
+        for k in range(up.size):
+            z = null_from_centered(float(up[k]), float(um[k]), axis if L1 == 0.0 else
+                                   (1.0, 0.0, 0.0), DiamondSpec(L, L1))
+            assert z.z_plus >= z.z_minus
+            assert (z.z_plus, z.z_minus) == (zp[k], zm[k])
+            assert math.copysign(1.0, z.direction[0]) == (1.0 if x1[k] >= 0.0 else -1.0)
+            if L1 == 0.0:
+                assert z == NullRadialCoords(um[k], up[k], (-0.6, 0.0, 0.8))
 
 
 def test_thermal_acceleration_eighth_scale():

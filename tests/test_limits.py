@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diamondflow import _kernels
 from diamondflow.errors import OutOfRange, OutOfRegion, SpecMismatch
 from diamondflow.flow import diamond_flow
-from diamondflow.geometry import DiamondSpec, NullRadialCoords, from_null
+from diamondflow.geometry import DiamondSpec, NullRadialCoords, from_null, require_interior_null
 from diamondflow.limits import deviation_scan, regime_map
 from diamondflow.thermo import agreement_window, temperature_ratio
 
@@ -95,6 +96,22 @@ def test_scan_exact_column_matches_flow():
         zt = diamond_flow(NullRadialCoords(0.2, -0.2), float(t), CORNER)
         assert abs(zt.z_plus - zp) < 1e-13
         assert abs(zt.z_minus - zm) < 1e-13
+
+
+@pytest.mark.parametrize("mode", ["wedge", "minkowski"])
+def test_scan_exact_column_is_the_global_map(mode):
+    # _scan writes u_pm +- L1 inline; it is _kernels.global_null bit for bit,
+    # since the wedge mode's diamond (L1 = L) holds only x1 > 0 and the
+    # minkowski mode's has L1 = 0.
+    for L in (1e-300, 1e-3, 1.0, 7.5, 1e280):  # the wedge limit r e^40 stays finite
+        d = DiamondSpec(L, L if mode == "wedge" else 0.0)
+        start = NullRadialCoords(0.35 * L, -0.35 * L)
+        rep = deviation_scan(mode, start, d, -40.0, 40.0, 801)
+        up, um, _ = require_interior_null(start, d)
+        zp, zm, _, x1 = _kernels.global_null(
+            *_kernels.diamond_orbit(up, um, L, rep.t_values), L, d.translation_L1)
+        assert rep.exact.tobytes() == np.stack([zp, zm], axis=-1).tobytes(), L
+        assert mode == "minkowski" or (x1 > 0.0).all()
 
 
 def test_scan_limit_consistency_in_L():

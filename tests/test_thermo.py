@@ -293,6 +293,40 @@ def test_translation_covariance():
             assert abs(t1 - t0) <= 1e-12 * t0
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1e3, 1e6, 1e9, 1e12])
+def test_typed_global_starts_match_mpmath(ratio):
+    # A start typed in global null coordinates of a diamond translated by
+    # |L1| = ratio L is as accurate as a centered one: T, beta and the
+    # relative entropy within the centered kernel's 4 EPS / q of mpmath,
+    # which reads u_pm = z_pm -+ L1 (the +e1 side) or z_mp -+ L1 (the -e1
+    # side) exactly from the typed doubles.
+    mp = mpmath40()
+    rng = np.random.default_rng(int(math.log10(ratio)) + 67)
+    p = FourMomentum(1.3, 0.4, 0.2, -0.1)
+    for L in (1e-3, 0.37, 1.0, 2.9, 1e3):
+        for L1 in (ratio * L, -ratio * L):
+            d = DiamondSpec(L, L1)
+            for up, um in interior_pairs(rng, 12, L):
+                if L1 + 0.5 * (up - um) >= 0.0:
+                    z = NullRadialCoords(up + L1, um - L1, (1.0, 0.0, 0.0))
+                    u = (mp.mpf(z.z_plus) - L1, mp.mpf(z.z_minus) + L1)
+                else:
+                    z = NullRadialCoords(um - L1, up + L1, (-1.0, 0.0, 0.0))
+                    u = (mp.mpf(z.z_minus) - L1, mp.mpf(z.z_plus) + L1)
+                qp, qm = (1 - (x / L) ** 2 for x in u)
+                bound = 4 * EPS / float(min(qp, qm))
+                beta = (L * qp / 2, L * qm / 2)
+                want = {"T": 1 / (mp.pi * L * mp.sqrt(qp * qm)),
+                        "beta_plus": beta[0], "beta_minus": beta[1],
+                        "entropy": mp.pi * ((mp.mpf(p.p0) - p.p1) * beta[0]
+                                              + (mp.mpf(p.p0) + p.p1) * beta[1])}
+                got = {"T": diamond_temperature(z, d).temperature,
+                       **dict(zip(("beta_plus", "beta_minus"), beta_field(z, d))),
+                       "entropy": relative_entropy(p, z, d)}
+                for name, value in got.items():
+                    assert abs(value - want[name]) <= bound * want[name], (L, L1, name)
+
+
 # ----------------------------------------------------------------------- ratio
 
 def test_ratio_basic():
