@@ -1,5 +1,5 @@
 """Array text kernels: `%.12e`, `%.4f` and `%d` cells, byte-identical to `%`,
-and "json" cells, byte-identical to `repr(float("%.12e" % v))`.
+-0.0 included, and "json" cells, byte-identical to `repr(float("%.12e" % v))`.
 
 A cell is uint32 words of ASCII from tables, filler bytes (0) where the text is
 shorter; digits come from `rint(|x| * 10**k)`.  Where 10**k is exact (k in
@@ -17,8 +17,10 @@ numpy calls, in place where they can be, that write their words into one
 array, so it costs per cell more than per call.
 
 `lines` lays out rows of text and cells in blocks of at most BLOCK_CELLS cells,
-a bytes chunk each; a distinct column goes through `cells` once a block, an
-indexed one (a vertex lattice, an axis, a column of one value) once a call.
+a bytes chunk each, text repeated by a zero stride; the last row's separator is
+made filler in place, so the one filler-dropping pass cuts it.  A distinct column
+goes through `cells` once a block, an indexed one (a vertex lattice, an axis, a
+column of one value) once a call.
 """
 
 import numpy as np
@@ -210,7 +212,7 @@ def lines(parts, sep: str) -> list[bytes]:
     layout = []  # per part and sep: its bytes, (spec, column) or (cells, index)
     for part in (*parts, sep):
         if isinstance(part, str):
-            layout.append(np.frombuffer(part.encode(), np.uint8))
+            layout.append(part.encode())
         elif len(part) == 3:
             layout.append((indexed[id(part[0]), part[1]], part[2]))
         else:
@@ -219,17 +221,16 @@ def lines(parts, sep: str) -> list[bytes]:
     n = len(next(p[2] if len(p) == 3 else p[0] for p in parts if not isinstance(p, str)))
     # A row gathers a cell per distinct row part and one per indexed part.
     step = max(1, BLOCK_CELLS // (sum(map(len, groups.values())) + len(gathered)))
-    layout = [np.broadcast_to(p, (step, len(p))) if isinstance(p, np.ndarray) else p
-              for p in layout]
     chunks = []
     for lo in range(0, n, step):
         m = min(step, n - lo)
         text = {spec: cells(np.stack([v[lo:lo + m] for _, v in group.values()], axis=1), spec)
                 for spec, group in groups.items()}
-        block = np.concatenate([p[:m] if isinstance(p, np.ndarray)
-                                else text[p[0]][:, p[1]] if isinstance(p[0], str)
-                                else np.take(p[0], p[1][lo:lo + m], axis=0) for p in layout],
-                               axis=1)
+        block = np.concatenate([np.ndarray((m, len(p)), np.uint8, p, 0, (0, 1))  # zero stride
+                                if isinstance(p, bytes) else text[p[0]][:, p[1]]
+                                if isinstance(p[0], str) else np.take(p[0], p[1][lo:lo + m], axis=0)
+                                for p in layout], axis=1)
+        if lo + m == n:  # no sep after the last row: its bytes become filler
+            block[-1, block.shape[1] - len(sep):] = 0
         chunks.append(block.tobytes().translate(None, b"\0"))
-    chunks[-1] = chunks[-1][:len(chunks[-1]) - len(sep)]
     return chunks

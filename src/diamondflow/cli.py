@@ -45,21 +45,24 @@ def _emit(names, columns, fmt, footer_text=None, footer_fields=None) -> list[byt
     """CSV or JSON bytes of equal-length columns, one row per element.
 
     A column is an array or (values, index), the column values[index]; a
-    column of one value is written as such a pair.
-    Float columns print as %.12e, with -0.0 written as 0.0, and in JSON as
-    the shortest repr of that value; a column with a non-finite value is
-    OutOfRange (exit 3).  Boolean columns print as 0 and 1.  JSON is one
-    object {"columns": names, "rows": [{name: value, ...}, ...]} followed by
-    the footer fields, laid out as `json.dumps` with separators (",", ":")."""
+    column of one value is written as such a pair.  Float columns print as
+    %.12e, with -0.0 written as 0.0, and in JSON as the shortest repr of that
+    value; a column with a non-finite value is OutOfRange (exit 3).  Each
+    distinct float array is copied once, + 0.0, into one table checked in one
+    pass.  Boolean columns print as 0 and 1.  JSON is one object {"columns":
+    names, "rows": [{name: value, ...}, ...]} followed by the footer fields,
+    laid out as `json.dumps` with separators (",", ":")."""
     float_spec, parts = "%.12e" if fmt == "csv" else "json", []
-    for name, col in zip(names, columns):
-        values, *index = col if isinstance(col, tuple) else (col,)
-        if values.dtype == np.bool_:
-            values = values.astype(np.int64)
-        elif not np.isfinite(values).all():
+    columns = [col if isinstance(col, tuple) else (col,) for col in columns]
+    floats = {id(col[0]): col[0] for col in columns if col[0].dtype.kind == "f"}
+    table, lo = np.empty(sum(values.size for values in floats.values())), 0
+    for key, values in floats.items():  # -0.0 + 0.0 is 0.0
+        floats[key] = np.add(values, 0.0, out=table[lo:(lo := lo + values.size)])
+    nonfinite = not np.isfinite(table).all()  # then the first such column is named
+    for name, (values, *index) in zip(names, columns):
+        values = floats[id(values)] if id(values) in floats else values.astype(np.int64)
+        if nonfinite and not np.isfinite(values).all():
             raise OutOfRange(f"column {name} has a non-finite value")
-        elif np.signbit(values[values == 0.0]).any():  # copied only to write -0.0 as 0.0
-            values = values + 0.0
         if not index and values[0] == values[-1] and (values == values[0]).all():
             values, index = values[:1], [np.zeros(len(values), np.intp)]  # formatted once
         parts.append((values, "%d" if values.dtype == np.int64 else float_spec, *index))

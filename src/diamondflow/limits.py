@@ -95,21 +95,17 @@ def _check_mode_spec(mode: str, d: DiamondSpec) -> None:
 
 
 def _scan(mode: str, d: DiamondSpec, u_plus, u_minus, r, ts: np.ndarray):
-    # Exact orbits of the centered starts against the mode's limit form for
-    # radius r; starts and r broadcast against ts as in diamond_orbit.  exact
-    # and limit hold (z_plus, z_minus) on a last axis, which the deviations reduce.
+    # Exact orbits of the centered starts against the mode's limit form for radius
+    # r; starts and r broadcast against ts as in diamond_orbit.  exact and limit
+    # hold (z_plus, z_minus) on a last axis; a deviation is the larger of the pair's.
     L = d.size_L
     ups, ums = _kernels.diamond_orbit(u_plus, u_minus, L, ts)
-    shift = d.translation_L1
-    exact = np.stack([ups + shift, ums - shift], axis=-1)
-    if mode == "minkowski":
-        lp, lm = 0.5 * L * ts + r, 0.5 * L * ts - r
-    else:
-        lp, lm = r * np.exp(ts), -r * np.exp(-ts)
-    limit = np.stack([lp, lm], axis=-1)
-    diff = np.abs(exact - limit)
-    rel = diff / np.maximum(np.abs(exact), _REL_FLOOR * L)
-    return exact, limit, diff.max(axis=-1), rel.max(axis=-1)
+    exact = ups + d.translation_L1, ums - d.translation_L1
+    limit = ((0.5 * L * ts + r, 0.5 * L * ts - r) if mode == "minkowski"
+             else (r * np.exp(ts), -r * np.exp(-ts)))
+    diff = [np.abs(e - lim) for e, lim in zip(exact, limit)]
+    rel = [dev / np.maximum(np.abs(e), _REL_FLOOR * L) for dev, e in zip(diff, exact)]
+    return np.stack(exact, axis=-1), np.stack(limit, axis=-1), np.maximum(*diff), np.maximum(*rel)
 
 
 def deviation_scan(mode: str, z0: NullRadialCoords, d: DiamondSpec,

@@ -6,6 +6,8 @@ thermal set in v = u/L form and the wedge boost.  emit_json_reference is
 the CLI's JSON writer written with json.dumps, one dict per row,
 lines_reference the row formatter with one cells call per column over the
 whole table; both expand an indexed column to values[index].
+scan_reference is the limits scan with its deviations reduced over stacked
+(z_plus, z_minus) pairs.
 """
 
 import json
@@ -13,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from diamondflow import _kernels
 from diamondflow._text import cells
 from diamondflow.errors import OutOfRange
 from diamondflow.geometry import DiamondSpec, null_from_centered
@@ -116,6 +119,25 @@ def lines_reference(parts, sep):
     columns = [p if isinstance(p, str) else cells(np.asarray(p[0])[p[2]], p[1]) if len(p) == 3
                else cells(*p) for p in parts]
     return [join(columns, sep).encode()]
+
+
+# --------------------------------------------------- limits scan reference
+
+def scan_reference(mode, d, u_plus, u_minus, r, ts):
+    """limits._scan as first written: exact and limit stacked into (..., 2)
+    arrays and the deviations reduced along that last axis."""
+    L = d.size_L
+    ups, ums = _kernels.diamond_orbit(u_plus, u_minus, L, ts)
+    shift = d.translation_L1
+    exact = np.stack([ups + shift, ums - shift], axis=-1)
+    if mode == "minkowski":
+        lp, lm = 0.5 * L * ts + r, 0.5 * L * ts - r
+    else:
+        lp, lm = r * np.exp(ts), -r * np.exp(-ts)
+    limit = np.stack([lp, lm], axis=-1)
+    diff = np.abs(exact - limit)
+    rel = diff / np.maximum(np.abs(exact), 1e-12 * L)
+    return exact, limit, diff.max(axis=-1), rel.max(axis=-1)
 
 
 # ------------------------------------------------------- oracle references

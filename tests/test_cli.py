@@ -659,7 +659,7 @@ def test_closed_stdout_exits_2_without_traceback():
     assert err == "diamondflow: error: cannot write stdout: Broken pipe\n"
 
 
-def test_negative_zero_written_as_zero():
+def test_negative_zero_written_as_zero(monkeypatch, capsys):
     # -0.0 prints as zero, in a plain and an indexed column, and the caller's
     # arrays keep their -0.0.
     col = np.array([-0.0, 1.5, -0.0])
@@ -673,6 +673,40 @@ def test_negative_zero_written_as_zero():
     assert json_text == ('{"columns":["a","b"],"rows":[{"a":0.0,"b":1.5},{"a":1.5,"b":0.0},'
                          '{"a":0.0,"b":0.0}]}\n')
     assert np.signbit(col).tolist() == [True, False, True]
+
+    sizes, cells = [], _text.cells
+
+    def counted(x, spec):
+        sizes.append(np.size(x))
+        return cells(x, spec)
+
+    monkeypatch.setattr(_text, "cells", counted)
+    # A column of -0.0 alone is one value, formatted once as zero.
+    zeros = np.full(3, -0.0)
+    assert b"".join(cli._emit(("z",), (zeros,), "csv")) == b"z\n" + b"0.000000000000e+00\n" * 3
+    assert sizes == [1] and np.signbit(zeros).all()
+    # Two indexed columns that share an array holding -0.0 format it once.
+    sizes.clear()
+    shared = np.array([2.5, -0.0, -3.0])
+    columns = ((shared, np.array([1, 2, 0])), (shared, np.array([0, 1, 1])))
+    assert b"".join(cli._emit(("p", "q"), columns, "json")) == (
+        b'{"columns":["p","q"],"rows":[{"p":0.0,"q":2.5},{"p":-3.0,"q":0.0},'
+        b'{"p":2.5,"q":0.0}]}\n')
+    assert sizes == [3] and np.signbit(shared).tolist() == [False, True, True]
+    # A non-finite value in any column still exits 3, in CSV and in JSON.
+    thermal = cli.thermal
+
+    def nan_T(up, um, L):
+        *head, T, a, ratio = thermal(up, um, L)
+        T[-1] = np.nan
+        return (*head, T, a, ratio)
+
+    monkeypatch.setattr(cli, "thermal", nan_T)
+    for fmt in ("csv", "json"):
+        assert main(["field", "--grid", "3", "--format", fmt, "--out", os.devnull]) == 3
+        assert capsys.readouterr().err == "error: column T has a non-finite value\n"
+    with pytest.raises(cli.OutOfRange, match="column b has a non-finite value"):
+        cli._emit(("a", "b", "c"), (zeros, np.array([-0.0, np.inf, 1.0]), zeros), "csv")
 
 
 @pytest.mark.parametrize("grid", [1, 2, 30])
@@ -703,9 +737,11 @@ def test_each_distinct_value_formatted_once(grid, monkeypatch):
 # to it, and calls of a few values: plot's outline, traj's constant a).  One
 # more call a block, or a repeated value formatted again, fails here.
 _BUDGET = [("field --grid 100", 6, 25_350, 6),
+           ("field --grid 100 --format json", 6, 25_350, 6),
            ("plot --shade --grid 50", 4, 5_466, 8),
            ("traj --start=0.3,-0.3 --t=-8:8:1001 --format json", 2, 6_007, 4),
-           ("limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001", 1, 7_007, 0)]
+           ("limits --mode minkowski --start=0.3,-0.3 --t=-8:8:1001", 1, 7_007, 0),
+           ("limits --mode wedge --L1=1 --start=0.3,-0.3 --t=-8:8:1001", 1, 7_007, 5)]
 
 
 @pytest.mark.parametrize("command, calls, formatted, left", _BUDGET, ids=[b[0] for b in _BUDGET])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _helpers import scan_reference
 
-from diamondflow import _kernels
+from diamondflow import _kernels, limits
 from diamondflow.errors import OutOfRange, OutOfRegion, SpecMismatch
 from diamondflow.flow import diamond_flow
 from diamondflow.geometry import DiamondSpec, NullRadialCoords, from_null, require_interior_null
@@ -112,6 +113,44 @@ def test_scan_exact_column_is_the_global_map(mode):
             *_kernels.diamond_orbit(up, um, L, rep.t_values), L, d.translation_L1)
         assert rep.exact.tobytes() == np.stack([zp, zm], axis=-1).tobytes(), L
         assert mode == "minkowski" or (x1 > 0.0).all()
+
+
+def _same_bits(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("mode", ["minkowski", "wedge"])
+def test_scan_matches_stacked_reduction(mode):
+    # The deviations, taken elementwise, keep the bits of the stacked arrays
+    # reduced along their (z_plus, z_minus) axis; exact and limit stay (n, 2).
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        L = 10.0 ** rng.uniform(-290.0, 290.0)
+        d = DiamondSpec(L, L if mode == "wedge" else 0.0)
+        r = rng.uniform(0.01, 0.99) * L
+        start = NullRadialCoords(r, -r)
+        t_min, t_max = -rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)
+        rep = deviation_scan(mode, start, d, t_min, t_max, 1001)
+        up, um, _ = require_interior_null(start, d)
+        want = scan_reference(mode, d, up, um, start.radius, rep.t_values)
+        assert rep.exact.shape == rep.limit.shape == (1001, 2)
+        assert _same_bits((rep.exact, rep.limit, rep.abs_dev, rep.rel_dev), want), (L, r)
+        assert rep.max_abs_dev == want[2].max() and rep.max_rel_dev == want[3].max()
+
+
+@pytest.mark.parametrize("mode", ["minkowski", "wedge"])
+def test_regime_scan_matches_stacked_reduction(mode):
+    # regime_map's (m, 1) starts against (n,) parameters, bit for bit.
+    for L in (1e-250, 0.3, 1.0, 42.0, 1e250):
+        d = DiamondSpec(L, L if mode == "wedge" else 0.0)
+        deltas = L * 10.0 ** np.linspace(0.0, -6.0, 9)[1:-1, None]
+        r = L - deltas
+        starts = (r, -r, r) if mode == "minkowski" else (-r, r, deltas)
+        ts = np.linspace(0.0, 3.0, 33)
+        want = scan_reference(mode, d, *starts, ts)
+        assert _same_bits(limits._scan(mode, d, *starts, ts), want), L
+        rm = regime_map(mode, d, 3.0, 1e-3, 7)
+        assert rm.max_rel_dev.tobytes() == want[3].max(axis=1).tobytes(), L
 
 
 def test_scan_limit_consistency_in_L():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import join, lines_reference
+from diamondflow import _text
 from diamondflow._text import _FEW, BLOCK_CELLS, _fixed, _repr, _sci, cells, lines
 
 
@@ -199,6 +200,26 @@ def test_lines_block_edges_match_per_column(specs, edge):
             # Whole rows per chunk.
             assert all(c.startswith(b"<") and c.endswith(b">" + sep.encode()) for c in chunks[:-1])
             assert b"".join(chunks) == lines_reference(parts, sep)[0]
+
+
+@pytest.mark.parametrize("sep", ["\n", ",", " "])
+@pytest.mark.parametrize("last", ["one row", "step rows"])
+def test_last_separator_dropped_in_place(sep, last, monkeypatch):
+    # The last row's separator is cut from its block in place: with a last
+    # block of one row and of a whole step of rows, after one or more blocks.
+    step = 5
+    monkeypatch.setattr(_text, "BLOCK_CELLS", 3 * step)  # two row parts and one indexed
+    rng = np.random.default_rng(len(sep))
+    v = rng.normal(size=4)
+    for blocks in (1, 2, 3):
+        n = (blocks - 1) * step + (1 if last == "one row" else step)
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        parts = ["[", (x, "%.12e"), sep, (v, "json", rng.integers(0, v.size, n)), ":",
+                 (x * 3.0, "json"), "]"]
+        chunks = lines(parts, sep)
+        assert len(chunks) == blocks
+        assert chunks[-1].endswith(b"]") and chunks[-1].count(b"[") == n - (blocks - 1) * step
+        assert b"".join(chunks) == lines_reference(parts, sep)[0]
 
 
 _VALUES = {spec: _FINITE for spec in ("%.12e", "%.4f", "json")}
