@@ -202,7 +202,7 @@ def null_beta(u, size: float):
     return v, q, 0.5 * size * q
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def thermal(u_plus, u_minus, size: float):
     """Thermal quantities (beta+, beta-, ||beta||, T, a, r/L) of centered pairs.
 
@@ -211,27 +211,22 @@ def thermal(u_plus, u_minus, size: float):
 
         beta_pm = (L/2) q_pm,             ||beta|| = (L/2) sqrt(q+ q-),
         T = 1/(2 pi ||beta||) = 1/(pi L sqrt(q+ q-)),
-        r/L = |v+ - v-|/2,                a = 2 pi T r/L.
+        r/L = |v+ - v-|/2,                a = (r/L)/||beta|| = (2 (r/L)/sqrt(q+ q-))/L.
 
     beta_pm is the null form of the flow tangent and ||beta|| = dtau/dt;
     T diverges toward the boundary and is 1/(pi L) at the center.  L enters
     each formula as one factor, never as L^2, and pi L is formed at a
     quarter scale above L = 1, so T is finite up to L = DBL_MAX and
-    overflows to inf only toward L = 0, where T itself does; a = (2 pi T) r/L
-    is formed at an eighth of the scale below L = 2^-512, so it overflows
-    only where a does.  Only + - * /, abs and sqrt appear, all correctly
-    rounded, so a float pair and an array element give the same bits.
+    overflows to inf only toward L = 0, where T itself does; a, formed from
+    2 (r/L)/sqrt(q+ q-) in [2 r/L, 2^54], overflows only where a does and is
+    +0.0 at the center for every L.  Only + - * /, abs and sqrt appear, all
+    correctly rounded, so a float pair and an array element give the same bits.
     Needs q+ q- > 0: strictly interior pairs.
     """
     vp, qp, beta_p = null_beta(u_plus, size)
     vm, qm, beta_m = null_beta(u_minus, size)
     root = np.sqrt(qp * qm)
     k, pi_size = _pi_size(size)
-    temperature = k / (pi_size * root)
     ratio = 0.5 * abs(vp - vm)
-    if size < 2.0 ** -512:  # exact: here no nonzero a is subnormal
-        a = 0.25 * np.pi * temperature * ratio * 8.0
-    else:
-        a = 2.0 * np.pi * temperature * ratio
-    return beta_p, beta_m, 0.5 * size * root, temperature, a, ratio
-
+    return (beta_p, beta_m, 0.5 * size * root, k / (pi_size * root),
+            2.0 * ratio / root / size, ratio)

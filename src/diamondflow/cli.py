@@ -2,15 +2,15 @@
 
 argparse parses and checks every flag, and each `cmd_*` takes its namespace.
 Exit codes: 0 success, 2 invalid configuration (argparse's usage and
-message), an --out that cannot be opened or written or a standard output
-closed early among them, 3 start or sample outside the region's domain, or a
-result that overflows or is not finite, 4 mode/spec mismatch.  A run that
-exits before writing leaves an existing --out unchanged, and a write that
-fails part-way cuts the file after the last byte written.  All numeric
-output is fixed at %.12e so identical configurations produce byte-identical
-files; CSV, JSON and SVG text comes from the array kernels of `_text`,
-byte-identical to Python's `%` and, for JSON numbers, to the repr of the
-%.12e value that `json.dumps` would write.
+message), an --out that cannot be opened or written, a standard output
+closed early or a run out of memory among them, 3 start or sample outside
+the region's domain, or a result that overflows or is not finite, 4
+mode/spec mismatch.  A run that exits before writing leaves an existing
+--out unchanged, and a write that fails part-way cuts the file after the
+last byte written.  All numeric output is fixed at %.12e so identical
+configurations produce byte-identical files; CSV, JSON and SVG text comes
+from the array kernels of `_text`, byte-identical to Python's `%` and, for
+JSON numbers, to the repr of the %.12e value that `json.dumps` would write.
 """
 
 from __future__ import annotations
@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"{parser.prog}: error: out of memory", file=sys.stderr)
+        return 2
     if args.out is None:
         try:
             sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)

@@ -190,12 +190,17 @@ def in_diamond(x: SpacetimePoint, d: DiamondSpec) -> bool:
 
 
 def ray_inversion(x: SpacetimePoint) -> SpacetimePoint:
-    """Conformal inversion x -> (-x0, -vec x)/x.x; an involution off the light cone."""
-    q = minkowski_square(x)
-    scale = x.x0 * x.x0 + x.x1 * x.x1 + x.x2 * x.x2 + x.x3 * x.x3
-    if abs(q) <= 1e-12 * max(1.0, scale):
-        raise LightlikeInput(f"point with x.x = {q!r} is too close to the light cone")
-    return SpacetimePoint(-x.x0 / q, -x.x1 / q, -x.x2 / q, -x.x3 / q)
+    """Conformal inversion x -> (-x0, -vec x)/x.x; an involution off the light cone.
+
+    x.x is formed from y = x/s, s the power of two of the largest |x_i|, so it
+    stays in range and the light-cone test is relative at every scale.
+    """
+    s = math.ldexp(1.0, math.frexp(max(abs(x.x0), abs(x.x1), abs(x.x2), abs(x.x3)))[1] - 1)
+    y0, y1, y2, y3 = x.x0 / s, x.x1 / s, x.x2 / s, x.x3 / s
+    q = y0 * y0 - y1 * y1 - y2 * y2 - y3 * y3
+    if abs(q) <= 1e-12 * (y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3):
+        raise LightlikeInput(f"{x} is too close to the light cone")
+    return SpacetimePoint(-y0 / q / s, -y1 / q / s, -y2 / q / s, -y3 / q / s)
 
 
 _UNIT_WEDGE = WedgeSpec(0.0)

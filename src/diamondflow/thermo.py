@@ -82,20 +82,16 @@ def wedge_temperature(acceleration: float) -> float:
 def diamond_temperature(z: NullRadialCoords, d: DiamondSpec) -> TemperatureSample:
     """Full thermal sample at a strictly interior diamond point."""
     up, um, _ = require_interior_null(z, d)
-    beta_p, beta_m, norm, temperature, acceleration, ratio = map(
-        float, _kernels.thermal(up, um, d.size_L))
-    if ratio == 0.0:
-        # The central orbit is a geodesic, also where T overflows (a subnormal
-        # L) and the kernel's 2 pi T r/L is inf * 0.
-        acceleration = 0.0
+    beta_p, beta_m, norm, temperature, a, _ = map(float, _kernels.thermal(up, um, d.size_L))
     return TemperatureSample(point=z, beta_null=(beta_p, beta_m), beta_norm=norm,
-                             temperature=temperature, acceleration=acceleration)
+                             temperature=temperature, acceleration=a)
 
 
 def acceleration_at(z: NullRadialCoords, d: DiamondSpec) -> float:
-    """Proper acceleration a = 2 pi T r/L of the orbit through z, r the centered radius.
+    """Proper acceleration a = (r/L)/||beta|| = 2 pi T r/L of the orbit through z.
 
-    Constant along each flow orbit; the central orbit (r = 0) is a geodesic.
+    r is the centered radius.  Finite wherever a is, also where T overflows;
+    constant along each flow orbit; +0.0 on the central orbit, a geodesic.
     """
     return diamond_temperature(z, d).acceleration
 

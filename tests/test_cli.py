@@ -67,7 +67,14 @@ def test_golden(command, golden, tmp_path):
 # Large outputs pinned by the SHA-256 of their stdout, recorded before the
 # CSV and SVG text moved to the array kernels; all exit 0.
 _SHA256_PINS = [
-    ("field --grid 400", "cc8b8d64ac934c3f4d52089b8a213d17b907e1ad0b6ac1a1cee5a36eae8c9c8f"),
+    # The three field pins were re-recorded when a = (2 (r/L)/sqrt(q+ q-))/L
+    # stopped going through T: only a cells moved, each by one unit of the
+    # 13th digit, none beyond its column's worst relative error against
+    # 40-digit mpmath before the change.  --grid 400: 17 cells (data rows
+    # 14411, 17566, 21799, 22268, 24004, 25639, 39044, 41518, 46301, 50420,
+    # 51930, 58821, 62744, 65070, 65998, 68657, 77888), 11 of them closer,
+    # worst moved cell 4.95e-13 against the column's 4.96e-13.
+    ("field --grid 400", "8a0f2c21df49c52c01b3b315cdeb4e1e476c10258ff6bf65698444e365548f49"),
     ("plot --shade --grid 200", "549dbd1c2f3df577e48dc2017ab42045974adb686f18f78e8a921bf729adcc73"),
     # The shade of a diamond 1e10 half-widths from the origin, whose vertices
     # x0 = (u+ + u-)/2 and x1 = L1 + (u+ - u-)/2 come from the centered pair:
@@ -77,13 +84,17 @@ _SHA256_PINS = [
      "70cf0efd75de92b3ed3ee10ff7cc4ca9472a804fa5536b76d74042759b08a62f"),
     ("limits --mode wedge --L 1 --L1 1 --start 0.5,-0.5 --t 0:1:20001",
      "bafc7bd13bce5bfa2354641abc0ed21c348be9a71ae0b066b1359c39d350868a"),
+    # Re-recorded with the new a: 1 a cell moved (data row 1621), closer,
+    # 9.35e-14 -> 9.33e-14 against the column's 4.61e-13.
     ("field --grid 64 --L 3.1e-200 --L1=-7e-201",
-     "627571ea5c36ebb54fc2b7057ff0e13a318ce682d0968371d0b94a018f178442"),
+     "d980591561f2bea87599927346ec29d6f730b49455614d1aab5e3d902e15efa3"),
     # Re-recorded when z_pm = u_pm +- L1 became one rounding each: 2 z_plus
     # cells moved, both closer to mpmath (worst relative error 9.0e-14 ->
-    # 2.2e-14); no other cell moved.
+    # 2.2e-14); no other cell moved.  Re-recorded with the new a: 4 a cells
+    # moved (data rows 923, 958, 1012, 1399), 1 closer, worst 1.48e-13
+    # against the column's 4.60e-13.
     ("field --grid 64 --L 2.5e250 --L1=1e250",
-     "f7530c56da42714830945dde59eb846ccf218c90bb8b445f7760f56f09245a3d"),
+     "7c0216263bfa12c0abd6d1e5e889c4ac04a90003c6248cb5f79417690cae5761"),
     ("plot --start 0.5,-0.5 --start=0.2,-0.7 --t=-8:8:20001 --hyperbola-w 0.4",
      "3936e9fc45d7be79b8ede64f70e7402affde0c5e1bd76110b75d80e4daee5084"),
     # Recorded after the wedge boost moved to null-coordinate displacements;
@@ -117,6 +128,41 @@ _SHA256_PINS = [
 def test_large_output_sha256(command, digest, capsys):
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Outputs built only from + - * /, sqrt and the text kernels: the same bytes
+# on every numpy dispatch target.
+_TARGET_FREE_PINS = [(c, h) for c, h in _SHA256_PINS if c.startswith("field") or "--shade" in c]
+
+_PINS_CHILD = """
+import contextlib, hashlib, io, json, sys
+from diamondflow.cli import main
+digests = {}
+for command in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    digests[command] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+def test_target_free_pins_without_avx512():
+    # The field and shade pins again, in one child process whose numpy has
+    # its AVX-512 loops switched off, as on a CPU without them.  The variable
+    # is set for the child alone: it acts only before numpy is imported.
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    assert len(_TARGET_FREE_PINS) == 5
+    commands = [c for c, _ in _TARGET_FREE_PINS]
+    res = subprocess.run([sys.executable, "-c", _PINS_CHILD, json.dumps(commands)],
+                         capture_output=True, text=True, env=env)
+    if res.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in res.stderr:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES: "
+                    + res.stderr.strip().splitlines()[-1])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {c: [0, h] for c, h in _TARGET_FREE_PINS}
 
 
 # Commands, help and usage errors in one process, which builds one parser.
@@ -319,8 +365,9 @@ def _check_field(text, L, grid):
         # The program rounds v = u/L once.  q = 1 - v^2 carries that rounding
         # amplified by 1/q (up to 500 at the faces, |v| = 0.999), and
         # r/L = |v+ - v-|/2 amplified by (|v+| + |v-|)/|v+ - v-| beside the
-        # diagonal; T = 1/(pi L sqrt(q+ q-)) and a = 2 pi T r/L add a few
-        # roundings.  The bound of test_thermal_matches_mpmath_up_to_dbl_max.
+        # diagonal; T = 1/(pi L sqrt(q+ q-)) and a = (2 (r/L)/sqrt(q+ q-))/L
+        # add a few roundings.  The bound of
+        # test_thermal_matches_mpmath_up_to_dbl_max.
         vp, vm = up / L, um / L
         qp, qm = 1.0 - vp * vp, 1.0 - vm * vm
         ratio = EPS * (abs(vp) + abs(vm)) / (2.0 * abs(vp - vm)) + EPS if vp != vm else 0.0
@@ -657,6 +704,25 @@ def test_closed_stdout_exits_2_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait() == 2
     assert err == "diamondflow: error: cannot write stdout: Broken pipe\n"
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    # A MemoryError while a command computes or formats is one error line and
+    # exit 2, and an existing --out keeps its bytes; raised by a patched
+    # text kernel, never by exhausting memory.
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lines", no_memory)
+    monkeypatch.setattr(figures, "lines", no_memory)
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"old bytes\n")
+    for command in (["field", "--grid", "8"], ["traj", "--format", "json"], ["plot", "--shade"]):
+        assert main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "diamondflow: error: out of memory\n")
+        assert out.read_bytes() == b"old bytes\n"
+    assert main(["field", "--grid", "8"]) == 2
+    assert capsys.readouterr() == ("", "diamondflow: error: out of memory\n")
 
 
 def test_negative_zero_written_as_zero(monkeypatch, capsys):

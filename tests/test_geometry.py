@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from diamondflow.errors import LightlikeInput, OutOfRange, OutOfRegion
+from diamondflow.flow import diamond_flow, wedge_flow
 from diamondflow.geometry import (
     DiamondSpec,
     NullRadialCoords,
@@ -206,6 +207,58 @@ def test_ray_inversion_involution(x0, x1, x2, x3):
     assert abs(r.x1 - p.x1) <= 1e-10 * s
     assert abs(r.x2 - p.x2) <= 1e-10 * s
     assert abs(r.x3 - p.x3) <= 1e-10 * s
+
+
+def test_ray_inversion_at_any_scale():
+    # The light-cone test is relative to the point's own scale, and x.x is
+    # formed where it neither overflows nor underflows.
+    assert ray_inversion(SpacetimePoint(0, 1e-10)) == SpacetimePoint(0.0, 1e10)
+    assert ray_inversion(SpacetimePoint(0, 1e200)) == SpacetimePoint(0.0, 1e-200)
+    with pytest.raises(LightlikeInput):
+        ray_inversion(SpacetimePoint(1e-200, 1e-200))
+    with pytest.raises(LightlikeInput):
+        ray_inversion(SpacetimePoint(0, 0))
+    with pytest.raises(OutOfRange):  # the image 1e310 is beyond the float range
+        ray_inversion(SpacetimePoint(0, 1e-310))
+    # An interior point 1e-7 from the left corner maps to x1 = 1/y1 - 1/2,
+    # y1 = x1 + 1 the exact shifted coordinate.
+    img = diamond_to_wedge(SpacetimePoint(0, -1 + 1e-7), DiamondSpec(1.0))
+    y1 = (-1 + 1e-7) + 1.0
+    assert img.x0 == 0.0 and abs(img.x1 - (1 / y1 - 0.5)) <= 4e-16 * img.x1
+
+
+def test_ray_inversion_commutes_with_powers_of_two():
+    # ray_inversion(2^k x) = 2^-k ray_inversion(x) bit for bit across the
+    # exponent range, for timelike, spacelike and off-axis points.
+    for x in (SpacetimePoint(0.3, 1.7, -0.2, 0.4), SpacetimePoint(1.1, 0.2, 0.0, -0.3),
+              SpacetimePoint(-0.7, 0.0, 0.9, 0.1)):
+        ref = ray_inversion(x)
+        for k in range(-1018, 1019):
+            y = ray_inversion(SpacetimePoint(*(math.ldexp(c, k) for c in
+                                               (x.x0, x.x1, x.x2, x.x3))))
+            assert y == SpacetimePoint(*(math.ldexp(c, -k) for c in
+                                         (ref.x0, ref.x1, ref.x2, ref.x3))), k
+
+
+def test_conjugation_near_left_corner():
+    # diamond_to_wedge o diamond_flow_t = wedge_flow_t o diamond_to_wedge for
+    # starts at distance delta from both faces at a corner, on both sides:
+    # the -e1 side's corner maps to wedge infinity, the +e1 side's to the
+    # apex.  Relative to the image's size, the error stays within
+    # 8 eps/delta, the conditioning of a point delta from the corner.
+    rng = np.random.default_rng(7)
+    d, w = DiamondSpec(1.0), WedgeSpec(0.0)
+    for sign in (1.0, -1.0):
+        for k in range(10):
+            delta = 10.0 ** -k
+            for _ in range(100):
+                dp, dm = delta * rng.uniform(0.5, 1.0, 2)
+                z = NullRadialCoords(1.0 - dp, -1.0 + dm, (sign, 0.0, 0.0))
+                t = float(rng.uniform(-2.0, 2.0))
+                a = diamond_to_wedge(from_null(diamond_flow(z, t, d)), d)
+                b = wedge_flow(diamond_to_wedge(from_null(z), d), t, w)
+                err = max(abs(a.x0 - b.x0), abs(a.x1 - b.x1)) / max(abs(b.x0), abs(b.x1))
+                assert err <= 8 * 2.0 ** -52 / delta, (sign, delta, z, t)
 
 
 def test_wedge_to_diamond_examples():

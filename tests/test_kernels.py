@@ -211,22 +211,32 @@ def test_crossed_pair_maps_to_mirror():
                 assert z == NullRadialCoords(um[k], up[k], (-0.6, 0.0, 0.8))
 
 
-def test_thermal_acceleration_eighth_scale():
-    # Below L = 2^-512, a = 2 pi T r/L is formed at an eighth of the scale:
-    # the bits of (2 pi T) r/L wherever that is finite, over the whole
-    # exponent range, and finite, as mpmath gives it, where only 2 pi T
-    # overflows.
+def test_thermal_acceleration_matches_mpmath_over_exponents():
+    # a = (2 (r/L)/sqrt(q+ q-))/L is formed without T.  Over the whole
+    # exponent range, wherever mpmath's a is finite, it is within the error
+    # model of test_cli._check_field: 4 eps/q for the rounding of v = u/L,
+    # the cancellation of that rounding in r/L = |v+ - v-|/2 beside the
+    # diagonal, and a few roundings; and it is finite, as mpmath gives it,
+    # where 2 pi T overflows.
     rng = np.random.default_rng(23)
+    tiny = 2.0 ** -1074
     for e in range(-1074, 1024):
         L = 1.37 * 2.0 ** e
         if not 0.0 < L < math.inf:
             continue
         up, um = rng.uniform(-0.999, 0.999, (2, 16)) * L
-        with np.errstate(all="ignore"):
-            _, _, _, T, a, ratio = K.thermal(up, um, L)
-            want = 2.0 * np.pi * T * ratio
-        finite = np.isfinite(want)
-        assert np.array_equal(a[finite], want[finite]), L
+        interior = (abs(up) < L) & (abs(um) < L)  # at the smallest L, u may round to L
+        up, um = up[interior], um[interior]
+        a = K.thermal(up, um, L)[4]
+        for k in range(up.size):
+            ref = thermal_ref(up[k], um[k], L)["a"]
+            if ref > np.finfo(float).max:
+                assert a[k] == math.inf, (L, k)
+                continue
+            vp, vm = up[k] / L, um[k] / L
+            q = min(1.0 - vp * vp, 1.0 - vm * vm)
+            ratio = (abs(vp) + abs(vm)) / (2.0 * abs(vp - vm)) + 1.0 if vp != vm else 0.0
+            assert abs(a[k] - ref) <= (4 / q + ratio + 2) * 2.0 ** -52 * ref + 8 * tiny, (L, k)
     for L, vp, vm in ((1e-308, 0.5, -0.5), (2.0 ** -1022, 0.9, -0.3), (5e-308, 0.99, 0.9)):
         up, um = vp * L, vm * L
         with np.errstate(over="ignore"):
@@ -234,6 +244,16 @@ def test_thermal_acceleration_eighth_scale():
         a, ref = K.thermal(up, um, L)[4], thermal_ref(up, um, L)["a"]
         q = min(1.0 - vp * vp, 1.0 - vm * vm)
         assert abs(a - ref) <= 4 * 2.0 ** -52 / q * ref, (L, a, ref)
+
+
+def test_thermal_center_zero_where_temperature_overflows():
+    # The array path of test_acceleration_center_zero_where_temperature_overflows:
+    # T = inf at a subnormal L, and a = +0.0 on the central orbit.
+    for L in (1e-310, 5e-324):
+        up = np.zeros(3)
+        _, _, _, T, a, ratio = K.thermal(up, up, L)
+        assert np.all(T == math.inf) and np.all(ratio == 0.0)
+        assert np.all(a == 0.0) and not np.signbit(a).any()
 
 
 def test_thermal_quarter_scale_keeps_bits():
